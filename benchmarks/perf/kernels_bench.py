@@ -1,24 +1,16 @@
-"""Kernel-backend benchmark: fused/numba vs numpy, plus worker residency.
+"""Kernel benchmark: worker residency and the raw-BLAS floor.
 
-Three claims, each measured against its own baseline and bitwise-verified:
+Two measurements:
 
-- **micro ops**: the per-block EM chain (latent -> YtX/XtX -> ss3) and the
-  error chain, fused backend vs numpy backend on identical blocks.  The
-  fused backend computes the latent block and the densified-centered block
-  once per (block, model) and reuses them across the chain; numpy recomputes
-  both in every op.
-- **end to end**: full ``SPCA.fit`` per engine at fine record granularity
-  (many small blocks -> many kernel calls), every kernel backend vs the
-  numpy backend on the *same engine*.  Every non-numba fit is checked
-  bitwise against its numpy baseline before its timing is reported.
 - **residency**: per-iteration bytes crossing the process-pool pickle pipe,
   worker-resident pinning on vs off -- the paper's intermediate-data
-  argument applied to the driver-worker pipe (ISSUE target: >= 5x fewer).
-
-A ``raw_blas`` section times the same per-iteration kernel math on the whole
-dataset as one block in a single process: the BLAS floor the simulator's
-scheduling, serde, and byte accounting sit on top of.  The gap is reported,
-not asserted -- it is the honest price of simulating a cluster.
+  argument applied to the driver-worker pipe (target: >= 5x fewer).
+- **raw_blas**: the same per-iteration kernel math (YtX/XtX + ss3) on the
+  whole dataset as one block in a single process, against the faster of
+  the MapReduce and Spark engine fits at fine record granularity.  That is
+  the BLAS floor the simulator's scheduling, serde, and byte accounting sit
+  on top of; the gap is reported, not asserted -- it is the honest price of
+  simulating a cluster.
 
 Results are written as ``BENCH_kernels.json``; wall-clock only, ratios are
 the meaningful quantity.
@@ -27,12 +19,11 @@ the meaningful quantity.
 from __future__ import annotations
 
 import time
-import warnings
 
 import numpy as np
 import scipy.sparse as sp
 
-from perf.harness import _op, best_of, provenance, _validate_provenance
+from perf.harness import best_of, provenance, _validate_provenance
 from repro.backends.mapreduce import MapReduceBackend
 from repro.backends.spark import SparkBackend
 from repro.core import SPCA, SPCAConfig
@@ -40,23 +31,13 @@ from repro.engine.cluster import ClusterSpec
 from repro.engine.exec import ProcessPoolTaskExecutor
 from repro.engine.mapreduce.runtime import MapReduceRuntime
 from repro.engine.spark.context import SparkContext
-from repro.jobs import backends as kb
+from repro.jobs import kernels
 from repro.obs.metrics import collecting
 
 KERNELS_BENCH_NAME = "BENCH_kernels"
 
 CLUSTER = ClusterSpec(num_nodes=2, cores_per_node=4)
 
-REQUIRED_KERNEL_E2E_FIELDS = {
-    "engine",
-    "kernel_backend",
-    "backend_resolved",
-    "shape",
-    "records_per_task",
-    "fit_s",
-    "speedup_vs_numpy",
-    "bitwise_equal_to_numpy",
-}
 REQUIRED_RESIDENCY_FIELDS = {
     "executor",
     "shape",
@@ -65,195 +46,39 @@ REQUIRED_RESIDENCY_FIELDS = {
     "resident_bytes_per_iteration",
     "reduction",
 }
-REQUIRED_RAW_BLAS_FIELDS = {"shape", "iterations", "raw_s", "engine_fit_s", "gap"}
+REQUIRED_RAW_BLAS_FIELDS = {
+    "shape", "iterations", "records_per_task", "raw_s", "engine", "engine_fit_s",
+    "gap",
+}
+ENGINES = ("mapreduce", "spark")
 
 
-def _model(rng, cols: int, d: int):
-    """A fixed, deterministic model for per-block op timing."""
-    mean = rng.normal(size=cols)
-    projector = rng.normal(size=(cols, d))
-    latent_mean = rng.normal(size=d)
-    components = rng.normal(size=(cols, d))
-    return mean, projector, latent_mean, components
-
-
-def _em_chain(backend, blocks, mean, projector, latent_mean, components) -> float:
-    """One YtXJob + ss3Job pass over *blocks*: the per-iteration hot path."""
-    total = 0.0
-    for block in blocks:
-        backend.ytx_xtx(block, mean, projector, latent_mean, True)
-        total += backend.ss3(
-            block, mean, projector, latent_mean, components, True
-        )
-    return total
-
-
-def bench_em_chain(repeats: int, n_splits: int, rows: int, cols: int, d: int) -> dict:
-    """The per-task EM work across 3 iterations, fused vs numpy.
-
-    Each split is a list of single-row records, exactly what a map task
-    receives; each iteration stacks the split into a block and runs the
-    YtX/XtX + ss3 chain against that iteration's model.  The fused backend
-    stacks each split once for the whole fit and computes each block's
-    latent once per iteration; numpy re-stacks and recomputes everywhere.
-    The model *changes per iteration* (as in a real fit), so the latent
-    memo is only credited with its honest within-iteration reuse.
-    """
-    splits = [
-        [
-            sp.random(1, cols, density=0.1, random_state=i * rows + j, format="csr")
-            for j in range(rows)
-        ]
-        for i in range(n_splits)
-    ]
-    models = [_model(np.random.default_rng(seed), cols, d) for seed in range(3)]
-    numpy_backend = kb.NumpyKernelBackend()
-    fused_backend = kb.FusedKernelBackend()
-
-    def run(backend) -> None:
-        backend.clear()
-        for mean, projector, latent_mean, components in models:
-            blocks = [backend.stack(split) for split in splits]
-            _em_chain(backend, blocks, mean, projector, latent_mean, components)
-
-    return _op(
-        "em_block_chain",
-        baseline_s=best_of(lambda: run(numpy_backend), repeats),
-        optimized_s=best_of(lambda: run(fused_backend), repeats),
-        n_splits=n_splits,
-        rows_per_block=rows,
-        cols=cols,
-        n_components=d,
-        iterations=len(models),
-    )
-
-
-def bench_densified_error_chain(
-    repeats: int, n_splits: int, rows: int, cols: int, d: int
-) -> dict:
-    """The ablated (no mean-propagation) chain with per-iteration error.
-
-    Stacking from records plus the shared densified-centered block across
-    YtX/XtX and the error job.  Note the numpy baseline already benefits
-    from the global ``_densify_centered`` memo (a satellite of this PR), so
-    the speedup shown here is the *additional* win of the fused backend.
-    """
-    splits = [
-        [
-            sp.random(1, cols, density=0.1, random_state=1000 + i * rows + j,
-                      format="csr")
-            for j in range(rows)
-        ]
-        for i in range(n_splits)
-    ]
-    models = [_model(np.random.default_rng(10 + seed), cols, d) for seed in range(3)]
-    numpy_backend = kb.NumpyKernelBackend()
-    fused_backend = kb.FusedKernelBackend()
-
-    def run(backend) -> None:
-        backend.clear()
-        for mean, projector, latent_mean, components in models:
-            for split in splits:
-                block = backend.stack(split)
-                backend.ytx_xtx(block, mean, projector, latent_mean, False)
-                backend.error_parts(block, mean, components, projector, False)
-
-    return _op(
-        "densified_error_chain",
-        baseline_s=best_of(lambda: run(numpy_backend), repeats),
-        optimized_s=best_of(lambda: run(fused_backend), repeats),
-        n_splits=n_splits,
-        rows_per_block=rows,
-        cols=cols,
-        n_components=d,
-        iterations=len(models),
-    )
-
-
-# -- end to end ------------------------------------------------------------
-
-
-def _fit_config(max_iterations: int, kernel_backend: str) -> SPCAConfig:
-    return SPCAConfig(
+def _fit(engine: str, data, records_per_task: int, max_iterations: int,
+         executor=None, worker_resident: bool = False):
+    config = SPCAConfig(
         n_components=5,
         max_iterations=max_iterations,
         tolerance=0.0,
         seed=1,
         compute_error_every_iteration=False,
-        kernel_backend=kernel_backend,
     )
-
-
-def _fit(engine: str, data, records_per_task: int, max_iterations: int,
-         kernel_backend: str, executor=None, worker_resident: bool = False):
-    config = _fit_config(max_iterations, kernel_backend)
-    with warnings.catch_warnings():
-        # numba-missing fallback warns once; the document records the
-        # resolution explicitly instead.
-        warnings.simplefilter("ignore", RuntimeWarning)
-        if engine == "mapreduce":
-            runtime = MapReduceRuntime(cluster=CLUSTER, executor=executor)
-            backend = MapReduceBackend(
-                config,
-                runtime=runtime,
-                records_per_split=records_per_task,
-                worker_resident=worker_resident,
-            )
-        else:
-            context = SparkContext(cluster=CLUSTER, executor=executor)
-            backend = SparkBackend(
-                config, context=context, records_per_partition=records_per_task
-            )
-        model, _ = SPCA(config, backend).fit(data)
-        if worker_resident:
-            backend._unpin_resident()
-    return model
-
-
-def bench_kernel_end_to_end(
-    data, records_per_task: int, repeats: int, max_iterations: int
-) -> list[dict]:
-    """Per engine: every kernel backend timed and verified vs numpy."""
-    entries = []
-    for engine in ("mapreduce", "spark"):
-        kb.clear_kernel_backends()
-        baseline = _fit(engine, data, records_per_task, max_iterations, "numpy")
-        numpy_s = best_of(
-            lambda: _fit(engine, data, records_per_task, max_iterations, "numpy"),
-            repeats,
+    if engine == "mapreduce":
+        runtime = MapReduceRuntime(cluster=CLUSTER, executor=executor)
+        backend = MapReduceBackend(
+            config,
+            runtime=runtime,
+            records_per_split=records_per_task,
+            worker_resident=worker_resident,
         )
-        for name in kb.KERNEL_BACKEND_NAMES:
-            kb.clear_kernel_backends()
-            resolved = kb.resolve_kernel_backend(name).name
-            model = _fit(engine, data, records_per_task, max_iterations, name)
-            bitwise = bool(
-                (model.components == baseline.components).all()
-                and (model.mean == baseline.mean).all()
-                and model.noise_variance == baseline.noise_variance
-            )
-            if resolved != "numba" and not bitwise:
-                raise AssertionError(
-                    f"{engine}/{name} diverged bitwise from its numpy baseline"
-                )
-            fit_s = numpy_s if name == "numpy" else best_of(
-                lambda: _fit(
-                    engine, data, records_per_task, max_iterations, name
-                ),
-                repeats,
-            )
-            entries.append(
-                {
-                    "engine": engine,
-                    "kernel_backend": name,
-                    "backend_resolved": resolved,
-                    "shape": list(data.shape),
-                    "records_per_task": records_per_task,
-                    "fit_s": fit_s,
-                    "speedup_vs_numpy": numpy_s / max(fit_s, 1e-12),
-                    "bitwise_equal_to_numpy": bitwise,
-                }
-            )
-    return entries
+    else:
+        context = SparkContext(cluster=CLUSTER, executor=executor)
+        backend = SparkBackend(
+            config, context=context, records_per_partition=records_per_task
+        )
+    model, _ = SPCA(config, backend).fit(data)
+    if worker_resident:
+        backend._unpin_resident()
+    return model
 
 
 # -- worker residency -------------------------------------------------------
@@ -277,7 +102,6 @@ def bench_residency(data, records_per_task: int) -> dict:
                         data,
                         records_per_task,
                         iterations,
-                        "numpy",
                         executor=executor,
                         worker_resident=worker_resident,
                     )
@@ -301,12 +125,14 @@ def bench_residency(data, records_per_task: int) -> dict:
 # -- raw-BLAS floor ---------------------------------------------------------
 
 
-def bench_raw_blas(data, max_iterations: int, repeats: int, engine_fit_s: float) -> dict:
+def bench_raw_blas(
+    data, records_per_task: int, max_iterations: int, repeats: int
+) -> dict:
     """The per-iteration kernel math on one whole-dataset block, no engine.
 
     This is what a single process doing straight numpy/BLAS calls pays for
-    the same EM arithmetic; ``gap`` is how much slower the best engine fit
-    is, i.e. the cost of the simulated cluster around the math.
+    the same EM arithmetic; ``gap`` is how much slower the faster engine
+    fit is, i.e. the cost of the simulated cluster around the math.
     """
     d = 5
     rng = np.random.default_rng(2)
@@ -314,21 +140,28 @@ def bench_raw_blas(data, max_iterations: int, repeats: int, engine_fit_s: float)
     projector = rng.normal(size=(data.shape[1], d))
     latent_mean = rng.normal(size=d)
     components = rng.normal(size=(data.shape[1], d))
-    backend = kb.NumpyKernelBackend()
 
     def run() -> None:
         for _ in range(max_iterations):
-            _em_chain(
-                backend, [data], mean, projector, latent_mean, components
-            )
+            kernels.block_ytx_xtx(data, mean, projector, latent_mean, True)
+            kernels.block_ss3(data, mean, projector, latent_mean, components, True)
 
     raw_s = best_of(run, repeats)
+    fit_s = {
+        engine: best_of(
+            lambda: _fit(engine, data, records_per_task, max_iterations), repeats
+        )
+        for engine in ENGINES
+    }
+    engine = min(fit_s, key=fit_s.get)
     return {
         "shape": list(data.shape),
         "iterations": max_iterations,
+        "records_per_task": records_per_task,
         "raw_s": raw_s,
-        "engine_fit_s": engine_fit_s,
-        "gap": engine_fit_s / max(raw_s, 1e-12),
+        "engine": engine,
+        "engine_fit_s": fit_s[engine],
+        "gap": fit_s[engine] / max(raw_s, 1e-12),
     }
 
 
@@ -336,51 +169,30 @@ def bench_raw_blas(data, max_iterations: int, repeats: int, engine_fit_s: float)
 
 
 def run_kernels_suite(quick: bool = False, repeats: int | None = None) -> dict:
-    """Run the kernel-backend suite; returns the BENCH_kernels document."""
+    """Run the kernels suite; returns the BENCH_kernels document."""
     if repeats is None:
         repeats = 2 if quick else 3
     if quick:
         data = sp.random(800, 120, density=0.05, random_state=0, format="csr")
         records_per_task = 8
         max_iterations = 2
-        n_blocks, rows = 32, 8
         residency_data = np.random.default_rng(7).normal(size=(512, 32))
         residency_records = 64
     else:
         data = sp.random(2000, 200, density=0.05, random_state=0, format="csr")
         records_per_task = 8
         max_iterations = 5
-        n_blocks, rows = 128, 8
         residency_data = np.random.default_rng(7).normal(size=(1024, 32))
         residency_records = 128
 
-    ops = [
-        bench_em_chain(repeats, n_blocks, rows, data.shape[1], 5),
-        bench_densified_error_chain(repeats, n_blocks // 2, rows, data.shape[1], 5),
-    ]
-    end_to_end = bench_kernel_end_to_end(
-        data, records_per_task, repeats, max_iterations
-    )
-    residency = bench_residency(residency_data, residency_records)
-    best_engine_fit_s = min(entry["fit_s"] for entry in end_to_end)
-    raw_blas = bench_raw_blas(data, max_iterations, repeats, best_engine_fit_s)
-    resolved = {
-        name: kb.resolve_kernel_backend(name).name
-        for name in kb.KERNEL_BACKEND_NAMES
-    }
     result = {
         "bench": KERNELS_BENCH_NAME,
         "quick": quick,
         "repeats": repeats,
         "created_unix": time.time(),
-        "provenance": provenance(
-            numba_available=kb.NUMBA_AVAILABLE,
-            kernel_backends_resolved=resolved,
-        ),
-        "ops": ops,
-        "end_to_end": end_to_end,
-        "residency": residency,
-        "raw_blas": raw_blas,
+        "provenance": provenance(),
+        "residency": bench_residency(residency_data, residency_records),
+        "raw_blas": bench_raw_blas(data, records_per_task, max_iterations, repeats),
     }
     validate_kernels(result)
     return result
@@ -388,10 +200,7 @@ def run_kernels_suite(quick: bool = False, repeats: int | None = None) -> dict:
 
 def validate_kernels(result: dict) -> None:
     """Schema check for a BENCH_kernels document; raises ValueError."""
-    for field in (
-        "bench", "quick", "repeats", "created_unix", "ops", "end_to_end",
-        "residency", "raw_blas",
-    ):
+    for field in ("bench", "quick", "repeats", "created_unix", "residency", "raw_blas"):
         if field not in result:
             raise ValueError(f"missing top-level field {field!r}")
     if result["bench"] != KERNELS_BENCH_NAME:
@@ -399,39 +208,6 @@ def validate_kernels(result: dict) -> None:
             f"bench must be {KERNELS_BENCH_NAME!r}, got {result['bench']!r}"
         )
     _validate_provenance(result)
-    if not result["ops"] or not result["end_to_end"]:
-        raise ValueError("ops and end_to_end must be non-empty")
-    for op in result["ops"]:
-        for field in ("baseline_s", "optimized_s", "speedup"):
-            if not (isinstance(op.get(field), float) and op[field] > 0):
-                raise ValueError(f"op {op.get('name')!r}: bad {field}")
-    numba_available = bool(result["provenance"].get("numba_available"))
-    seen = set()
-    for entry in result["end_to_end"]:
-        missing = REQUIRED_KERNEL_E2E_FIELDS - entry.keys()
-        if missing:
-            raise ValueError(f"end_to_end entry missing {sorted(missing)}")
-        if entry["engine"] not in ("mapreduce", "spark"):
-            raise ValueError(f"unknown engine {entry['engine']!r}")
-        if entry["kernel_backend"] not in kb.KERNEL_BACKEND_NAMES:
-            raise ValueError(
-                f"unknown kernel backend {entry['kernel_backend']!r}"
-            )
-        if not numba_available and entry["backend_resolved"] == "numba":
-            raise ValueError("numba resolution recorded without the extra")
-        # fused must be bitwise; numba only when it fell back to numpy.
-        if entry["backend_resolved"] != "numba" and not entry[
-            "bitwise_equal_to_numpy"
-        ]:
-            raise ValueError(
-                f"{entry['engine']}/{entry['kernel_backend']} is not "
-                "bitwise equal to its numpy baseline"
-            )
-        seen.add((entry["engine"], entry["kernel_backend"]))
-    for engine in ("mapreduce", "spark"):
-        for name in kb.KERNEL_BACKEND_NAMES:
-            if (engine, name) not in seen:
-                raise ValueError(f"missing end_to_end entry {engine}/{name}")
     residency = result["residency"]
     missing = REQUIRED_RESIDENCY_FIELDS - residency.keys()
     if missing:
@@ -444,6 +220,8 @@ def validate_kernels(result: dict) -> None:
     missing = REQUIRED_RAW_BLAS_FIELDS - raw.keys()
     if missing:
         raise ValueError(f"raw_blas missing {sorted(missing)}")
+    if raw["engine"] not in ENGINES:
+        raise ValueError(f"raw_blas: unknown engine {raw['engine']!r}")
     for field in ("raw_s", "engine_fit_s", "gap"):
         if not (isinstance(raw[field], float) and raw[field] > 0):
             raise ValueError(f"raw_blas: bad {field}")
@@ -451,37 +229,16 @@ def validate_kernels(result: dict) -> None:
 
 def summarize_kernels(result: dict) -> str:
     prov = result["provenance"]
-    lines = [
-        f"{result['bench']}  (quick={result['quick']}, repeats={result['repeats']}, "
-        f"cpus={prov['cpu_count']}, numba={prov['numba_available']}, "
-        f"sha={prov['git_sha'][:12]})"
-    ]
-    lines.append(f"{'op (fused vs numpy)':<34}{'baseline s':>12}{'fused s':>12}{'speedup':>9}")
-    for op in result["ops"]:
-        lines.append(
-            f"{op['name']:<34}{op['baseline_s']:>12.5f}"
-            f"{op['optimized_s']:>12.5f}{op['speedup']:>8.2f}x"
-        )
-    lines.append(
-        f"{'fit':<34}{'resolved':>12}{'fit s':>12}{'vs numpy':>9}"
-    )
-    for entry in result["end_to_end"]:
-        label = f"{entry['engine']}/{entry['kernel_backend']}"
-        check = "" if entry["bitwise_equal_to_numpy"] else "  (tolerance)"
-        lines.append(
-            f"{label:<34}{entry['backend_resolved']:>12}"
-            f"{entry['fit_s']:>12.4f}{entry['speedup_vs_numpy']:>8.2f}x{check}"
-        )
     residency = result["residency"]
-    lines.append(
+    raw = result["raw_blas"]
+    return "\n".join([
+        f"{result['bench']}  (quick={result['quick']}, repeats={result['repeats']}, "
+        f"cpus={prov['cpu_count']}, sha={prov['git_sha'][:12]})",
         f"residency ({residency['executor']}, shape={residency['shape']}): "
         f"{residency['plain_bytes_per_iteration']:.0f} -> "
         f"{residency['resident_bytes_per_iteration']:.0f} B/iteration "
-        f"({residency['reduction']:.1f}x fewer)"
-    )
-    raw = result["raw_blas"]
-    lines.append(
+        f"({residency['reduction']:.1f}x fewer)",
         f"raw BLAS floor: {raw['raw_s']:.4f}s vs best engine fit "
-        f"{raw['engine_fit_s']:.4f}s (simulator gap {raw['gap']:.1f}x)"
-    )
-    return "\n".join(lines)
+        f"({raw['engine']}) {raw['engine_fit_s']:.4f}s "
+        f"(simulator gap {raw['gap']:.1f}x)",
+    ])

@@ -14,12 +14,11 @@ executor); ``executor`` measures end-to-end ``SPCA.fit`` under the
 ``serial``/``threads``/``processes`` executors across a worker-scaling
 curve; ``serve`` fires a storm of concurrent single-row requests at the
 micro-batching serving layer (batched vs unbatched, bitwise-verified);
-``kernels`` measures the pluggable kernel backends (fused/numba vs numpy,
-micro-op chains and end-to-end fits, all bitwise-verified) plus the
-worker-resident per-iteration dispatch-byte reduction and the raw-BLAS
-floor; ``stream`` measures windowed streaming PCA on each engine (sustained
-rows/s, window wall percentiles, backpressure lag, checkpoint overhead,
-bitwise-verified against the incremental oracle).
+``kernels`` measures the worker-resident per-iteration dispatch-byte
+reduction and the raw-BLAS floor under the engine fits; ``stream``
+measures windowed streaming PCA on each engine (sustained rows/s, window
+wall percentiles, backpressure lag, checkpoint overhead, bitwise-verified
+against the incremental oracle).
 Each writes its result document (schema: perf section of
 ``benchmarks/README.md``) to the repo root -- ``BENCH_3.json``,
 ``BENCH_5.json``, ``BENCH_serve.json``, or ``BENCH_stream.json`` --

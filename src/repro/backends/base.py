@@ -24,19 +24,6 @@ class Backend(abc.ABC):
     def __init__(self, config: SPCAConfig):
         self.config = config
 
-    @property
-    def kernels(self):
-        """The per-block kernel backend this config resolves to.
-
-        Resolution is memoized process-wide; a request for ``numba`` on a
-        machine without the package answers with the numpy backend (after a
-        one-time warning), so ``backend.kernels.name`` is the *resolved*
-        name the driver stamps into trace spans and BENCH provenance.
-        """
-        from repro.jobs.backends import resolve_kernel_backend
-
-        return resolve_kernel_backend(self.config.kernel_backend)
-
     @abc.abstractmethod
     def load(self, data: Matrix) -> Any:
         """Distribute the input matrix; returns an opaque dataset handle."""

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.backends.base import Backend
 from repro.core.config import SPCAConfig
-from repro.jobs.kernels import error_from_colsums
+from repro.jobs import kernels
 from repro.linalg.blocks import Matrix, RowBlock, partition_rows
 from repro.linalg.stats import sample_rows
 
@@ -33,7 +33,7 @@ class SequentialBackend(Backend):
         total = None
         count = 0
         for block in dataset:
-            sums, rows = self.kernels.sums(block.data)
+            sums, rows = kernels.block_sums(block.data)
             total = sums if total is None else total + sums
             count += rows
         return total / count
@@ -41,7 +41,7 @@ class SequentialBackend(Backend):
     def frobenius_centered(self, dataset: list[RowBlock], mean: np.ndarray) -> float:
         efficient = self.config.use_efficient_frobenius
         return sum(
-            self.kernels.frobenius(block.data, mean, efficient)
+            kernels.block_frobenius(block.data, mean, efficient)
             for block in dataset
         )
 
@@ -53,7 +53,7 @@ class SequentialBackend(Backend):
         xtx_total = None
         for index, block in enumerate(dataset):
             latent = self._latent_for(index)
-            ytx, xtx = self.kernels.ytx_xtx(
+            ytx, xtx = kernels.block_ytx_xtx(
                 block.data, mean, projector, latent_mean, mean_prop, latent=latent
             )
             ytx_total = ytx if ytx_total is None else ytx_total + ytx
@@ -65,7 +65,7 @@ class SequentialBackend(Backend):
         total = 0.0
         for index, block in enumerate(dataset):
             latent = self._latent_for(index)
-            total += self.kernels.ss3(
+            total += kernels.block_ss3(
                 block.data, mean, projector, latent_mean, components, mean_prop,
                 latent=latent,
             )
@@ -82,19 +82,19 @@ class SequentialBackend(Backend):
             data = block.data
             if sample_fraction < 1.0:
                 data = sample_rows(data, sample_fraction, rng)
-            parts = self.kernels.error_parts(
+            parts = kernels.block_error_parts(
                 data, mean, components, ls_projector, mean_prop
             )
             residual += parts[0]
             magnitude += parts[1]
-        return error_from_colsums(residual, magnitude)
+        return kernels.error_from_colsums(residual, magnitude)
 
     # -- internals -------------------------------------------------------
 
     def _materialize_latent(self, dataset, mean, projector, latent_mean) -> None:
         mean_prop = self.config.use_mean_propagation
         self._materialized_latent = [
-            self.kernels.latent(block.data, mean, projector, latent_mean, mean_prop)
+            kernels.block_latent(block.data, mean, projector, latent_mean, mean_prop)
             for block in dataset
         ]
         self._intermediate_bytes += sum(

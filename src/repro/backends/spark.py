@@ -75,18 +75,17 @@ class SparkBackend(Backend):
         count = self.context.accumulator(0)
 
         def run(partition):
-            kb = self.kernels
             if self._batched(partition):
                 # One stacked kernel call and one accumulator update per
                 # partition: fewer, larger updates is exactly the combiner
                 # economy the paper's Section 4.2 argues for.
-                stacked = kb.stack([block for _, block in partition])
-                block_sums, rows = kb.sums(stacked)
+                stacked = kernels.stack_blocks([block for _, block in partition])
+                block_sums, rows = kernels.block_sums(stacked)
                 sums.add(block_sums)
                 count.add(rows)
                 return
             for _, block in partition:
-                block_sums, rows = kb.sums(block)
+                block_sums, rows = kernels.block_sums(block)
                 sums.add(block_sums)
                 count.add(rows)
 
@@ -99,13 +98,12 @@ class SparkBackend(Backend):
         total = self.context.accumulator(0.0)
 
         def run(partition):
-            kb = self.kernels
             if self._batched(partition):
-                stacked = kb.stack([block for _, block in partition])
-                total.add(kb.frobenius(stacked, bc_mean.value, efficient))
+                stacked = kernels.stack_blocks([block for _, block in partition])
+                total.add(kernels.block_frobenius(stacked, bc_mean.value, efficient))
                 return
             for _, block in partition:
-                total.add(kb.frobenius(block, bc_mean.value, efficient))
+                total.add(kernels.block_frobenius(block, bc_mean.value, efficient))
 
         self.context.run_job(rdd, run, name="FnormJob")
         return float(total.value)
@@ -131,9 +129,8 @@ class SparkBackend(Backend):
 
         def run_with_latent(partition, latent_partition):
             if self._batched(partition):
-                kb = self.kernels
-                block = kb.stack([b for _, b in partition])
-                latent = kb.stack_latents([x for _, x in latent_partition])
+                block = kernels.stack_blocks([b for _, b in partition])
+                latent = kernels.stack_latents([x for _, x in latent_partition])
                 self._accumulate_ytx(
                     block, latent, bc_projector.value, bc_mean.value,
                     bc_latent_mean.value, mean_prop, ytx_data, latent_colsum, xtx_sum,
@@ -146,26 +143,12 @@ class SparkBackend(Backend):
                 )
 
         def run(partition):
-            kb = self.kernels
+            blocks = [block for _, block in partition]
             if self._batched(partition):
-                blocks = [block for _, block in partition]
-                stacked = kb.stack(blocks)
-                latent = kb.latent(
-                    stacked, bc_mean.value, bc_projector.value,
-                    bc_latent_mean.value, mean_prop,
-                )
+                blocks = [kernels.stack_blocks(blocks)]
+            for block in blocks:
                 self._accumulate_ytx(
-                    stacked, latent, bc_projector.value, bc_mean.value,
-                    bc_latent_mean.value, mean_prop, ytx_data, latent_colsum, xtx_sum,
-                )
-                return
-            for _, block in partition:
-                latent = kb.latent(
-                    block, bc_mean.value, bc_projector.value,
-                    bc_latent_mean.value, mean_prop,
-                )
-                self._accumulate_ytx(
-                    block, latent, bc_projector.value, bc_mean.value,
+                    block, None, bc_projector.value, bc_mean.value,
                     bc_latent_mean.value, mean_prop, ytx_data, latent_colsum, xtx_sum,
                 )
 
@@ -198,18 +181,17 @@ class SparkBackend(Backend):
         latent_rdd = self._latent_for(rdd, bc_mean, bc_projector, bc_latent_mean)
 
         def partial(block, latent):
-            return self.kernels.ss3(
+            return kernels.block_ss3(
                 block, bc_mean.value, bc_projector.value, bc_latent_mean.value,
                 bc_components.value, mean_prop, latent=latent,
             )
 
         def zipped_ss3(partition, latent_partition):
             if self._batched(partition):
-                kb = self.kernels
                 total.add(
                     partial(
-                        kb.stack([b for _, b in partition]),
-                        kb.stack_latents([x for _, x in latent_partition]),
+                        kernels.stack_blocks([b for _, b in partition]),
+                        kernels.stack_latents([x for _, x in latent_partition]),
                     )
                 )
                 return (None,)
@@ -226,7 +208,9 @@ class SparkBackend(Backend):
         else:
             def run_ss3(partition):
                 if self._batched(partition):
-                    total.add(partial(self.kernels.stack([b for _, b in partition]), None))
+                    total.add(
+                        partial(kernels.stack_blocks([b for _, b in partition]), None)
+                    )
                     return
                 for _, block in partition:
                     total.add(partial(block, None))
@@ -254,12 +238,11 @@ class SparkBackend(Backend):
         mean_prop = self.config.use_mean_propagation
 
         def run(split, partition):
-            kb = self.kernels
             if sample_fraction >= 1.0 and self._batched(partition):
                 # Sampling is seeded per record start row, so only the
                 # unsampled path can stack the whole partition.
-                stacked = kb.stack([block for _, block in partition])
-                parts = kb.error_parts(
+                stacked = kernels.stack_blocks([block for _, block in partition])
+                parts = kernels.block_error_parts(
                     stacked, bc_mean.value, bc_components.value,
                     bc_ls_projector.value, mean_prop,
                 )
@@ -271,7 +254,7 @@ class SparkBackend(Backend):
                     block = sample_rows(
                         block, sample_fraction, np.random.default_rng((seed, start))
                     )
-                parts = kb.error_parts(
+                parts = kernels.block_error_parts(
                     block, bc_mean.value, bc_components.value,
                     bc_ls_projector.value, mean_prop,
                 )
@@ -289,7 +272,12 @@ class SparkBackend(Backend):
         self, block, latent, projector, mean, latent_mean, mean_prop,
         ytx_data, latent_colsum, xtx_sum,
     ) -> None:
+        """Add one block's YtX/XtX partials; *latent* None recomputes X."""
         if mean_prop:
+            if latent is None:
+                latent = kernels.block_latent(
+                    block, mean, projector, latent_mean, True
+                )
             # Ship the sparse data product; the driver applies the dense
             # mean correction once.  Keeping the partial sparse is the
             # O(D*d) -> O(z*d) accumulator optimization of Section 4.2.
@@ -303,12 +291,13 @@ class SparkBackend(Backend):
                 data_product = block.T @ latent
             ytx_data.add(data_product)
             latent_colsum.add(np.asarray(latent.sum(axis=0)).ravel())
+            xtx = latent.T @ latent
         else:
-            ytx, _ = self.kernels.ytx_xtx(
+            ytx, xtx = kernels.block_ytx_xtx(
                 block, mean, projector, latent_mean, False, latent=latent
             )
             ytx_data.add(ytx)
-        xtx_sum.add(latent.T @ latent)
+        xtx_sum.add(xtx)
 
     def _latent_for(
         self,
@@ -332,7 +321,7 @@ class SparkBackend(Backend):
             self._latent_rdd = rdd.map(
                 lambda record: (
                     record[0],
-                    self.kernels.latent(
+                    kernels.block_latent(
                         record[1], bc_mean.value, bc_projector.value,
                         bc_latent_mean.value, mean_prop,
                     ),

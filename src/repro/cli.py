@@ -32,6 +32,7 @@ import sys
 import numpy as np
 
 from repro.core import SPCA, SPCAConfig
+from repro.core.config import stored_config
 from repro.core.persistence import load_model, save_model
 from repro.data import bag_of_words, nmr_spectra, sift_features
 from repro.data.io import load_matrix, save_matrix
@@ -404,14 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "(default: CPU count, capped at 8)",
         )
         parallel.add_argument(
-            "--kernel-backend", choices=("numpy", "fused", "numba"),
-            default=None,
-            help="per-block kernel implementation: numpy (default), fused "
-                 "(shared intermediates, bitwise identical), or numba "
-                 "(compiled; falls back to numpy when not installed). "
-                 "On resume the default keeps the checkpoint's choice.",
-        )
-        parallel.add_argument(
             "--worker-resident", action="store_true",
             help="pin input splits in the executor's resident store so "
                  "iterations after the first ship only the small model "
@@ -581,7 +574,6 @@ def _cmd_fit(args) -> int:
         tolerance=args.tolerance,
         seed=args.seed,
         smart_init=args.smart_init,
-        kernel_backend=args.kernel_backend or "numpy",
     )
     executor = _make_executor(args)
     backend = _make_backend(
@@ -633,11 +625,7 @@ def _cmd_resume(args) -> int:
     if newest is None:
         print(f"error: no checkpoints in {args.checkpoint}", file=sys.stderr)
         return 2
-    config = SPCAConfig(**newest.config)
-    if args.kernel_backend is not None:
-        # An execution detail, not part of the checkpointed math: a resume
-        # may finish a numpy fit with the fused kernels bit-identically.
-        config = config.with_options(kernel_backend=args.kernel_backend)
+    config = SPCAConfig(**stored_config(newest.config))
     executor = _make_executor(args)
     backend = _make_backend(
         args.backend, config, faults_path=args.faults, executor=executor,

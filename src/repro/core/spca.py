@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.config import SPCAConfig
+from repro.core.config import SPCAConfig, stored_config
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (backends need core)
     from repro.backends.base import Backend
@@ -30,7 +30,7 @@ from repro.core.convergence import ConvergenceTracker, IterationStats, TrainingH
 from repro.core.initialization import random_initialization, smart_guess_initialization
 from repro.core.model import PCAModel
 from repro.core.ppca import fit_ppca
-from repro.errors import CheckpointError, ShapeError
+from repro.errors import CheckpointError, ConfigError, ShapeError
 from repro.linalg.blocks import Matrix
 from repro.obs import get_tracer
 from repro.obs.metrics import get_registry
@@ -50,10 +50,17 @@ class SPCA:
     """
 
     def __init__(self, config: SPCAConfig, backend: Backend | None = None):
-        if backend is None:
-            from repro.backends.sequential import SequentialBackend
+        from repro.backends.base import Backend
+        from repro.backends.sequential import SequentialBackend
 
+        if backend is None:
             backend = SequentialBackend(config)
+        elif not isinstance(backend, Backend):
+            raise ConfigError(
+                "backend must be a Backend instance such as "
+                f"MapReduceBackend(config), got {type(backend).__name__}: "
+                f"{backend!r}"
+            )
         self.config = config
         self.backend = backend
 
@@ -82,8 +89,6 @@ class SPCA:
             n_features=n_features,
             n_components=config.n_components,
             backend=type(self.backend).__name__,
-            kernel_backend=config.kernel_backend,
-            kernel_backend_resolved=self.backend.kernels.name,
         ) as run_span:
             model, history = self._fit_traced(
                 data, tracer, checkpoint=self._as_policy(checkpoint)
@@ -120,15 +125,7 @@ class SPCA:
         ckpt = store.load_latest()
         if ckpt is None:
             raise CheckpointError("checkpoint store is empty; nothing to resume")
-        stored_config = dict(ckpt.config)
-        current_config = asdict(config)
-        # kernel_backend selects an implementation, not different math: every
-        # backend is bitwise equal (or tolerance-tested, for numba), so a
-        # resume may switch it -- and checkpoints written before the field
-        # existed stay resumable.
-        stored_config.pop("kernel_backend", None)
-        current_config.pop("kernel_backend", None)
-        if stored_config != current_config:
+        if stored_config(ckpt.config) != asdict(config):
             raise CheckpointError(
                 "checkpoint was written under a different configuration: "
                 f"stored {ckpt.config!r} vs current {asdict(config)!r}"
@@ -149,8 +146,6 @@ class SPCA:
             n_features=n_features,
             n_components=config.n_components,
             backend=type(self.backend).__name__,
-            kernel_backend=config.kernel_backend,
-            kernel_backend_resolved=self.backend.kernels.name,
             resumed_from_iteration=ckpt.iteration,
         ) as run_span:
             model, history = self._fit_traced(

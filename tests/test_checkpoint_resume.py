@@ -7,6 +7,8 @@ uninterrupted run exactly -- including the sampled reconstruction error,
 whose rng state rides along in the snapshot.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,20 @@ def kill_plan(after_iteration):
     """
     return FaultPlan(
         events=(KillTask(job="YtXJob", occurrence=after_iteration, attempts=4),)
+    )
+
+
+def add_retired_kernel_backend(store, value="fused"):
+    """Rewrite the newest snapshot the way releases with kernel backends did.
+
+    Those releases stored a ``kernel_backend`` key in the config; the field
+    is gone, and resuming must ignore it.
+    """
+    newest = store.load_latest()
+    store.save(
+        dataclasses.replace(
+            newest, config={**newest.config, "kernel_backend": value}
+        )
     )
 
 
@@ -166,6 +182,21 @@ class TestStores:
         assert store.iterations() == [1, 2]
         model, history = SPCA(CONFIG, make_backend("mapreduce")).resume(data, store)
         assert np.array_equal(model.components, clean_model.components)
+        assert history_tuples(history) == history_tuples(clean_history)
+
+    def test_checkpoint_with_retired_kernel_backend_resumes(self, data, tmp_path):
+        store = DirectoryCheckpointStore(tmp_path / "ckpts")
+        clean_model, clean_history = SPCA(CONFIG, make_backend("mapreduce")).fit(data)
+        with pytest.raises(JobFailedError):
+            SPCA(CONFIG, make_backend("mapreduce", kill_plan(2))).fit(
+                data, checkpoint=store
+            )
+        add_retired_kernel_backend(store)
+        assert store.load_latest().config["kernel_backend"] == "fused"
+        model, history = SPCA(CONFIG, make_backend("mapreduce")).resume(data, store)
+        assert np.array_equal(model.components, clean_model.components)
+        assert np.array_equal(model.mean, clean_model.mean)
+        assert model.noise_variance == clean_model.noise_variance
         assert history_tuples(history) == history_tuples(clean_history)
 
     def test_checkpoint_every_n_iterations(self, data):

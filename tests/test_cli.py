@@ -54,6 +54,30 @@ class TestFit:
                      "--max-iterations", "3", "--smart-init"])
         assert code == 0
 
+    def test_resume_checkpoint_with_retired_kernel_backend(
+        self, matrix_path, tmp_path, capsys
+    ):
+        from repro.core import DirectoryCheckpointStore
+        from tests.test_checkpoint_resume import add_retired_kernel_backend
+
+        ckpt, clean_path, resumed_path = (
+            tmp_path / "ckpts", tmp_path / "clean.npz", tmp_path / "resumed.npz"
+        )
+        common = ["--components", "3", "--backend", "mapreduce"]
+        assert main(["fit", str(matrix_path), *common, "--max-iterations", "4",
+                     "--tolerance", "0", "--checkpoint", str(ckpt),
+                     "--checkpoint-every", "2", "--out", str(clean_path)]) == 0
+        store = DirectoryCheckpointStore(ckpt)
+        assert store.iterations() == [2]
+        add_retired_kernel_backend(store)
+        assert main(["resume", str(matrix_path), "--checkpoint", str(ckpt),
+                     "--backend", "mapreduce", "--out", str(resumed_path)]) == 0
+        assert "resumed" in capsys.readouterr().out
+        resumed, clean = load_model(resumed_path), load_model(clean_path)
+        assert np.array_equal(resumed.components, clean.components)
+        assert np.array_equal(resumed.mean, clean.mean)
+        assert resumed.noise_variance == clean.noise_variance
+
     def test_missing_input_is_a_clean_error(self, tmp_path, capsys):
         code = main(["fit", str(tmp_path / "nope.npz"), "--components", "2"])
         assert code == 2

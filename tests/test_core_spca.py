@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from repro.backends import SequentialBackend
 from repro.core import SPCA, SPCAConfig, fit_ppca
-from repro.errors import ShapeError
+from repro.errors import ConfigError, ShapeError
 from repro.metrics import ideal_accuracy, reconstruction_error, subspace_angle_degrees
 
 
@@ -129,6 +129,13 @@ def test_spca_fully_unoptimized_same_model():
 def test_spca_rejects_too_many_components():
     with pytest.raises(ShapeError):
         SPCA(SPCAConfig(n_components=10)).fit(np.ones((5, 5)))
+
+
+@pytest.mark.parametrize("backend", ["sequential", "mapreduce", "spark", object()])
+def test_non_backend_raises_config_error_naming_its_type(backend):
+    # An engine name is not a Backend: it must be constructed first.
+    with pytest.raises(ConfigError, match=f"got {type(backend).__name__}"):
+        SPCA(SPCAConfig(n_components=2), backend=backend)
 
 
 def test_history_timeline_and_time_to_accuracy(config):

@@ -131,26 +131,27 @@ def test_executors_match_serial_under_random_faults(params):
 # -- full sPCA fits must be bitwise identical across executors ------------
 
 
-def fit_mapreduce(executor):
+def fit_mapreduce(executor, config=CONFIG):
     runtime = MapReduceRuntime(cluster=SMALL_CLUSTER, executor=executor)
-    backend = MapReduceBackend(CONFIG, runtime=runtime, records_per_split=6)
-    model, _ = SPCA(CONFIG, backend).fit(DATA)
+    backend = MapReduceBackend(config, runtime=runtime, records_per_split=6)
+    model, _ = SPCA(config, backend).fit(DATA)
     return model, runtime.metrics
 
 
-def fit_spark(executor):
+def fit_spark(executor, config=CONFIG):
     context = SparkContext(cluster=SMALL_CLUSTER, executor=executor)
-    backend = SparkBackend(CONFIG, context=context, records_per_partition=6)
-    model, _ = SPCA(CONFIG, backend).fit(DATA)
+    backend = SparkBackend(config, context=context, records_per_partition=6)
+    model, _ = SPCA(config, backend).fit(DATA)
     return model, context.metrics
 
 
-def assert_fits_match(fit, executor):
-    model_serial, metrics_serial = fit(None)
-    model_exec, metrics_exec = fit(executor)
+def assert_fits_match(fit, executor, config=CONFIG):
+    model_serial, metrics_serial = fit(None, config)
+    model_exec, metrics_exec = fit(executor, config)
     # No kernel is re-associated by the executor layer (tasks are identical
     # units of work in a different order), so equality is bitwise.
     assert np.array_equal(model_exec.components, model_serial.components)
+    assert np.array_equal(model_exec.mean, model_serial.mean)
     assert model_exec.noise_variance == model_serial.noise_variance
     jobs_s, jobs_e = metrics_serial.jobs, metrics_exec.jobs
     assert [j.name for j in jobs_e] == [j.name for j in jobs_s]
@@ -178,6 +179,25 @@ def test_spca_spark_processes_bitwise():
     # Spark partition functions are closures, so the process executor routes
     # them through its thread sibling -- results must still match serial.
     assert_fits_match(fit_spark, PROCESSES)
+
+
+# CONFIG skips the per-iteration errorJob and runs every optimization; these
+# inputs cover the error kernel and the ablated (densified, materialized-X,
+# unconsolidated) kernels on every executor too.
+OTHER_CONFIGS = {
+    "error-job": CONFIG.with_options(
+        max_iterations=2, compute_error_every_iteration=True
+    ),
+    "unoptimized": CONFIG.unoptimized().with_options(max_iterations=2),
+}
+FITS = {"mapreduce": fit_mapreduce, "spark": fit_spark}
+
+
+@pytest.mark.parametrize("executor", [THREADS, PROCESSES], ids=["threads", "processes"])
+@pytest.mark.parametrize("engine", sorted(FITS))
+@pytest.mark.parametrize("config", sorted(OTHER_CONFIGS))
+def test_spca_other_configs_bitwise(config, engine, executor):
+    assert_fits_match(FITS[engine], executor, OTHER_CONFIGS[config])
 
 
 def test_spark_processes_fallback_is_traced():

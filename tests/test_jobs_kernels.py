@@ -63,14 +63,17 @@ class TestBlockYtxXtx:
             np.testing.assert_allclose(xtx, expected_xtx, atol=1e-9)
 
     def test_precomputed_latent_used(self, setting):
+        # Recomputing X inside the call (sharing the ablation's centered
+        # copy) is bitwise the same as handing in block_latent's X.
         block, mean, projector, latent_mean, _ = setting
-        latent = block_latent(block, mean, projector, latent_mean, True)
-        ytx_a, xtx_a = block_ytx_xtx(block, mean, projector, latent_mean, True)
-        ytx_b, xtx_b = block_ytx_xtx(
-            block, mean, projector, latent_mean, True, latent=latent
-        )
-        np.testing.assert_allclose(ytx_a, ytx_b)
-        np.testing.assert_allclose(xtx_a, xtx_b)
+        for mean_prop in (True, False):
+            latent = block_latent(block, mean, projector, latent_mean, mean_prop)
+            ytx_a, xtx_a = block_ytx_xtx(block, mean, projector, latent_mean, mean_prop)
+            ytx_b, xtx_b = block_ytx_xtx(
+                block, mean, projector, latent_mean, mean_prop, latent=latent
+            )
+            assert np.array_equal(ytx_a, ytx_b)
+            assert np.array_equal(xtx_a, xtx_b)
 
 
 class TestBlockSS3:
@@ -85,6 +88,19 @@ class TestBlockSS3:
             )
             assert result == pytest.approx(expected, abs=1e-9)
 
+    def test_precomputed_latent_used(self, setting):
+        block, mean, projector, latent_mean, components = setting
+        for mean_prop in (True, False):
+            latent = block_latent(block, mean, projector, latent_mean, mean_prop)
+            recomputed = block_ss3(
+                block, mean, projector, latent_mean, components, mean_prop
+            )
+            supplied = block_ss3(
+                block, mean, projector, latent_mean, components, mean_prop,
+                latent=latent,
+            )
+            assert recomputed == supplied
+
 
 class TestBlockFrobenius:
     def test_algorithms_agree(self, setting):
@@ -98,14 +114,19 @@ class TestBlockErrorParts:
     def test_colsum_protocol(self, setting):
         block, mean, _, _, components = setting
         ls_projector = components @ np.linalg.inv(components.T @ components)
-        residual, magnitude = block_error_parts(
-            block, mean, components, ls_projector, True
-        )
-        assert residual.shape == (25,)
-        assert magnitude.shape == (25,)
-        np.testing.assert_allclose(
-            magnitude, np.abs(np.asarray(block.todense())).sum(axis=0)
-        )
+        dense = np.asarray(block.todense())
+        for mean_prop in (True, False):
+            residual, magnitude = block_error_parts(
+                block, mean, components, ls_projector, mean_prop
+            )
+            assert residual.shape == (25,)
+            assert magnitude.shape == (25,)
+            assert np.array_equal(magnitude, np.abs(dense).sum(axis=0))
+        # Without mean propagation one densified copy serves both the
+        # least-squares latent and the residual pass.
+        residual, _ = block_error_parts(block, mean, components, ls_projector, False)
+        reconstruction = ((dense - mean) @ ls_projector) @ components.T + mean
+        assert np.array_equal(residual, np.abs(dense - reconstruction).sum(axis=0))
 
     def test_mean_prop_matches_densified(self, setting):
         block, mean, _, _, components = setting
