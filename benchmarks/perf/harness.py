@@ -1,12 +1,10 @@
-"""Timing harness for the batched record pipeline.
+"""Timing harness for the record pipeline and the executor layer.
 
-Measures the record-pipeline hot ops (shuffle partitioning, ``sizeof``
-memoization, map-task dispatch) and end-to-end ``SPCA.fit`` on both engine
-backends, each as optimized-vs-baseline pairs.  The baseline is the same
-engine with the optimization disabled (``enable_batch=False``, cold size
-cache, per-record partitioner), so every reported speedup isolates one
-change.  Results are written as ``BENCH_3.json``; see the perf section of
-``benchmarks/README.md`` for the schema.
+``BENCH_3`` times the shuffle partitioner against its per-record baseline
+(one crc32 per distinct key vs one per record) and stamps the engine
+metrics of one traced quick fit.  ``BENCH_5`` times end-to-end
+``SPCA.fit`` on both engines under every executor.  See the perf section
+of ``benchmarks/README.md`` for the schemas.
 
 Wall-clock only: these are real Python timings of the simulator itself, not
 simulated cluster seconds.  Ratios are the meaningful quantity.
@@ -21,7 +19,6 @@ import subprocess
 import time
 from typing import Any, Callable
 
-import numpy as np
 import scipy.sparse as sp
 
 from repro.backends.mapreduce import MapReduceBackend
@@ -29,11 +26,9 @@ from repro.backends.spark import SparkBackend
 from repro.core import SPCA, SPCAConfig
 from repro.engine.cluster import ClusterSpec
 from repro.engine.exec import EXECUTOR_NAMES, make_executor
-from repro.engine.mapreduce import MapReduceJob, MapReduceRuntime
+from repro.engine.mapreduce import MapReduceRuntime
 from repro.engine.mapreduce.runtime import _partition_of, _partition_pairs
-from repro.engine.serde import clear_sizeof_cache, sizeof
 from repro.engine.spark.context import SparkContext
-from repro.jobs import mapreduce_jobs as mr
 from repro.obs import collecting, tracing
 from repro.obs.export import TraceData
 from repro.obs.metrics import METRICS_SCHEMA
@@ -46,14 +41,6 @@ CLUSTER = ClusterSpec(num_nodes=2, cores_per_node=4)
 _REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 REQUIRED_OP_FIELDS = {"name", "baseline_s", "optimized_s", "speedup", "params"}
-REQUIRED_E2E_FIELDS = {
-    "backend",
-    "shape",
-    "records_per_task",
-    "per_record_s",
-    "batch_s",
-    "speedup",
-}
 REQUIRED_PROVENANCE_FIELDS = {"git_sha", "cpu_count", "python", "platform"}
 REQUIRED_EXEC_FIELDS = {
     "backend",
@@ -148,61 +135,7 @@ def bench_shuffle_partitioning(repeats: int, n_records: int) -> dict:
     )
 
 
-def bench_sizeof_memoization(repeats: int, n_values: int) -> dict:
-    """Warm identity-keyed cache vs re-measuring every value."""
-    rng = np.random.default_rng(0)
-    values = [
-        sp.random(64, 64, density=0.1, random_state=i, format="csr")
-        if i % 2
-        else rng.normal(size=(64, 64))
-        for i in range(n_values)
-    ]
-
-    def cold():
-        clear_sizeof_cache()
-        for value in values:
-            sizeof(value)
-
-    def warm():
-        for value in values:
-            sizeof(value)
-
-    cold_s = best_of(cold, repeats)
-    clear_sizeof_cache()
-    sizeof(values)  # populate once
-    warm_s = best_of(warm, repeats)
-    return _op(
-        "sizeof_memoization",
-        baseline_s=cold_s,
-        optimized_s=warm_s,
-        n_values=n_values,
-    )
-
-
-def bench_map_dispatch(repeats: int, records_per_split: int) -> dict:
-    """One ``map_batch`` stacked-kernel call vs per-record ``map`` calls."""
-    split = [
-        (i * 4, sp.random(4, 128, density=0.1, random_state=i, format="csr"))
-        for i in range(records_per_split)
-    ]
-    splits = [split]
-
-    def run(enable_batch: bool) -> None:
-        runtime = MapReduceRuntime(cluster=CLUSTER, enable_batch=enable_batch)
-        job = MapReduceJob(
-            name="meanJob", mapper=mr.MeanMapper(), reducer=mr.MatrixSumReducer()
-        )
-        runtime.run(job, splits)
-
-    return _op(
-        "map_task_dispatch",
-        baseline_s=best_of(lambda: run(False), repeats),
-        optimized_s=best_of(lambda: run(True), repeats),
-        records_per_split=records_per_split,
-    )
-
-
-# -- end-to-end ------------------------------------------------------------
+# -- fits ------------------------------------------------------------------
 
 
 def _fit_config(max_iterations: int) -> SPCAConfig:
@@ -215,41 +148,6 @@ def _fit_config(max_iterations: int) -> SPCAConfig:
     )
 
 
-def bench_end_to_end(
-    backend_kind: str,
-    data,
-    records_per_task: int,
-    repeats: int,
-    max_iterations: int,
-) -> dict:
-    """Full ``SPCA.fit`` wall clock, batch vs per-record, one backend."""
-    config = _fit_config(max_iterations)
-
-    def fit(enable_batch: bool) -> None:
-        if backend_kind == "mapreduce":
-            runtime = MapReduceRuntime(cluster=CLUSTER, enable_batch=enable_batch)
-            backend = MapReduceBackend(
-                config, runtime=runtime, records_per_split=records_per_task
-            )
-        else:
-            context = SparkContext(cluster=CLUSTER, enable_batch=enable_batch)
-            backend = SparkBackend(
-                config, context=context, records_per_partition=records_per_task
-            )
-        SPCA(config, backend).fit(data)
-
-    per_record_s = best_of(lambda: fit(False), repeats)
-    batch_s = best_of(lambda: fit(True), repeats)
-    return {
-        "backend": backend_kind,
-        "shape": list(data.shape),
-        "records_per_task": records_per_task,
-        "per_record_s": per_record_s,
-        "batch_s": batch_s,
-        "speedup": per_record_s / max(batch_s, 1e-12),
-    }
-
-
 # -- suite -----------------------------------------------------------------
 
 
@@ -257,44 +155,20 @@ def run_suite(quick: bool = False, repeats: int | None = None) -> dict:
     """Run every benchmark; returns the BENCH_3 result document."""
     if repeats is None:
         repeats = 2 if quick else 3
-    if quick:
-        data = sp.random(800, 120, density=0.05, random_state=0, format="csr")
-        granularities = [8]
-        max_iterations = 2
-        n_records = 2000
-        n_values = 64
-    else:
-        data = sp.random(4000, 400, density=0.05, random_state=0, format="csr")
-        granularities = [16, 32]
-        max_iterations = 3
-        n_records = 20000
-        n_values = 256
-
-    # Collect engine metrics across every fit the suite performs; the
-    # snapshot is stamped into the document so a BENCH_3.json records not
-    # just timings but what the engines actually did (jobs, bytes moved).
-    with collecting() as registry:
-        ops = [
-            bench_shuffle_partitioning(repeats, n_records),
-            bench_sizeof_memoization(repeats, n_values),
-            bench_map_dispatch(repeats, 64 if quick else 256),
-        ]
-        end_to_end = [
-            bench_end_to_end(kind, data, granularity, repeats, max_iterations)
-            for kind in ("mapreduce", "spark")
-            for granularity in granularities
-        ]
-        metrics_snapshot = registry.snapshot()
+    ops = [bench_shuffle_partitioning(repeats, 2000 if quick else 20000)]
+    # The metrics of one traced fit are stamped into the document, so a
+    # BENCH_3.json records not just timings but what the engines actually
+    # did (jobs, bytes moved).
+    _, metrics_snapshot = traced_quick_fit()
     result = {
         "bench": BENCH_NAME,
         "quick": quick,
         "repeats": repeats,
         "created_unix": time.time(),
-        # The batch suite always measures the serial executor: it isolates
-        # the batching optimization, not cross-core scaling (BENCH_5 does).
+        # The suite always measures the serial executor: cross-core scaling
+        # is BENCH_5's job.
         "provenance": provenance(executor="serial", workers=1),
         "ops": ops,
-        "end_to_end": end_to_end,
         "metrics": metrics_snapshot,
     }
     validate(result)
@@ -325,15 +199,15 @@ def _validate_metrics(result: dict) -> None:
 
 def validate(result: dict) -> None:
     """Schema check for a BENCH_3 document; raises ValueError on violation."""
-    for field in ("bench", "quick", "repeats", "created_unix", "ops", "end_to_end"):
+    for field in ("bench", "quick", "repeats", "created_unix", "ops"):
         if field not in result:
             raise ValueError(f"missing top-level field {field!r}")
     if result["bench"] != BENCH_NAME:
         raise ValueError(f"bench must be {BENCH_NAME!r}, got {result['bench']!r}")
     _validate_provenance(result)
     _validate_metrics(result)
-    if not result["ops"] or not result["end_to_end"]:
-        raise ValueError("ops and end_to_end must be non-empty")
+    if not result["ops"]:
+        raise ValueError("ops must be non-empty")
     for op in result["ops"]:
         missing = REQUIRED_OP_FIELDS - op.keys()
         if missing:
@@ -341,19 +215,6 @@ def validate(result: dict) -> None:
         for field in ("baseline_s", "optimized_s", "speedup"):
             if not (isinstance(op[field], float) and op[field] > 0):
                 raise ValueError(f"op {op['name']!r}: {field} must be positive")
-    for entry in result["end_to_end"]:
-        missing = REQUIRED_E2E_FIELDS - entry.keys()
-        if missing:
-            raise ValueError(
-                f"end_to_end {entry.get('backend')!r} missing {sorted(missing)}"
-            )
-        if entry["backend"] not in ("mapreduce", "spark"):
-            raise ValueError(f"unknown backend {entry['backend']!r}")
-        for field in ("per_record_s", "batch_s", "speedup"):
-            if not (isinstance(entry[field], float) and entry[field] > 0):
-                raise ValueError(
-                    f"end_to_end {entry['backend']!r}: {field} must be positive"
-                )
 
 
 # -- executor scaling suite (BENCH_5) --------------------------------------
@@ -513,9 +374,9 @@ def traced_quick_fit() -> tuple[TraceData, dict]:
     """One deterministic quick-shape fit, traced and metered.
 
     Used by ``run.py --trace-out/--metrics-out`` and by CI's trace-diff
-    step.  The shapes and seeds match the quick batch suite, and the
-    returned trace uses simulated time only, so two runs of this function
-    on any machine produce diff-identical traces.
+    step, and its metrics fill BENCH_3's ``metrics`` block.  The returned
+    trace uses simulated time only, so two runs of this function on any
+    machine produce diff-identical traces.
     """
     data = sp.random(800, 120, density=0.05, random_state=0, format="csr")
     config = _fit_config(max_iterations=2)
@@ -537,14 +398,5 @@ def summarize(result: dict) -> str:
         lines.append(
             f"{op['name']:<24}{op['baseline_s']:>12.4f}"
             f"{op['optimized_s']:>13.4f}{op['speedup']:>8.2f}x"
-        )
-    lines.append(
-        f"{'end-to-end fit':<24}{'per-record s':>12}{'batch s':>13}{'speedup':>9}"
-    )
-    for entry in result["end_to_end"]:
-        label = f"{entry['backend']}/r{entry['records_per_task']}"
-        lines.append(
-            f"{label:<24}{entry['per_record_s']:>12.4f}"
-            f"{entry['batch_s']:>13.4f}{entry['speedup']:>8.2f}x"
         )
     return "\n".join(lines)

@@ -1,4 +1,4 @@
-"""CLI for the perf harness: batched-pipeline and executor-scaling suites.
+"""CLI for the perf harness: record-pipeline and executor-scaling suites.
 
 Usage::
 
@@ -9,8 +9,8 @@ Usage::
     PYTHONPATH=src python benchmarks/perf/run.py --suite stream     # BENCH_stream.json
     PYTHONPATH=src python benchmarks/perf/run.py --quick            # CI smoke shapes
 
-``batch`` measures the PR-3 record pipeline (batch vs per-record, serial
-executor); ``executor`` measures end-to-end ``SPCA.fit`` under the
+``batch`` times the shuffle partitioner against its per-record baseline
+and stamps the engine metrics of one traced fit; ``executor`` measures end-to-end ``SPCA.fit`` under the
 ``serial``/``threads``/``processes`` executors across a worker-scaling
 curve; ``serve`` fires a storm of concurrent single-row requests at the
 micro-batching serving layer (batched vs unbatched, bitwise-verified);

@@ -1,10 +1,9 @@
 """Smoke test for the perf harness: quick shapes, schema only.
 
-Asserts structure and the batch-wins-at-fine-granularity invariant on tiny
-inputs; never absolute times, so it cannot flake on slow CI machines.  The
-one exception is the multi-core speedup floor, which is explicitly gated on
-``os.cpu_count() >= 4`` -- a single-core runner cannot show parallelism and
-the test must not pretend it can.
+Asserts structure on tiny inputs; never absolute times, so it cannot flake
+on slow CI machines.  The one exception is the multi-core speedup floor,
+which is explicitly gated on ``os.cpu_count() >= 4`` -- a single-core runner
+cannot show parallelism and the test must not pretend it can.
 """
 
 import json
@@ -46,29 +45,20 @@ def test_result_is_json_serializable(result):
     validate(parsed)
 
 
-def test_covers_both_backends(result):
-    backends = {entry["backend"] for entry in result["end_to_end"]}
-    assert backends == {"mapreduce", "spark"}
-
-
 def test_ops_cover_the_pipeline_hot_spots(result):
     names = {op["name"] for op in result["ops"]}
-    assert names == {
-        "shuffle_partitioning",
-        "sizeof_memoization",
-        "map_task_dispatch",
-    }
+    assert names == {"shuffle_partitioning"}
 
 
 def test_summary_renders(result):
     text = summarize(result)
     assert BENCH_NAME in text
-    assert "mapreduce" in text
+    assert "shuffle_partitioning" in text
 
 
 def test_validate_rejects_malformed_documents(result):
     broken = dict(result)
-    broken.pop("end_to_end")
+    broken.pop("ops")
     with pytest.raises(ValueError):
         validate(broken)
     wrong_bench = dict(result, bench="BENCH_999")

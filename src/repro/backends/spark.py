@@ -31,6 +31,11 @@ def _add_maybe_sparse(total: np.ndarray, update) -> np.ndarray:
     return total + update
 
 
+def _stacked(partition):
+    """The partition's row blocks as one block (a lone block as it is)."""
+    return kernels.stack_blocks([block for _, block in partition])
+
+
 class SparkBackend(Backend):
     """Runs each distributed sPCA job as one Spark stage."""
 
@@ -65,29 +70,18 @@ class SparkBackend(Backend):
         )
         return rdd.cache()
 
-    def _batched(self, partition) -> bool:
-        """Whether a partition should take the stacked fast path."""
-        return self.context.enable_batch and len(partition) > 1
-
     def column_means(self, rdd) -> np.ndarray:
         n_cols = rdd.first()[1].shape[1]
         sums = self.context.accumulator(np.zeros(n_cols))
         count = self.context.accumulator(0)
 
         def run(partition):
-            if self._batched(partition):
-                # One stacked kernel call and one accumulator update per
-                # partition: fewer, larger updates is exactly the combiner
-                # economy the paper's Section 4.2 argues for.
-                stacked = kernels.stack_blocks([block for _, block in partition])
-                block_sums, rows = kernels.block_sums(stacked)
-                sums.add(block_sums)
-                count.add(rows)
-                return
-            for _, block in partition:
-                block_sums, rows = kernels.block_sums(block)
-                sums.add(block_sums)
-                count.add(rows)
+            # One stacked kernel call and one accumulator update per
+            # partition: fewer, larger updates is exactly the combiner
+            # economy the paper's Section 4.2 argues for.
+            block_sums, rows = kernels.block_sums(_stacked(partition))
+            sums.add(block_sums)
+            count.add(rows)
 
         self.context.run_job(rdd, run, name="meanJob")
         return sums.value / count.value
@@ -98,12 +92,9 @@ class SparkBackend(Backend):
         total = self.context.accumulator(0.0)
 
         def run(partition):
-            if self._batched(partition):
-                stacked = kernels.stack_blocks([block for _, block in partition])
-                total.add(kernels.block_frobenius(stacked, bc_mean.value, efficient))
-                return
-            for _, block in partition:
-                total.add(kernels.block_frobenius(block, bc_mean.value, efficient))
+            total.add(
+                kernels.block_frobenius(_stacked(partition), bc_mean.value, efficient)
+            )
 
         self.context.run_job(rdd, run, name="FnormJob")
         return float(total.value)
@@ -127,30 +118,14 @@ class SparkBackend(Backend):
 
         latent_rdd = self._latent_for(rdd, bc_mean, bc_projector, bc_latent_mean)
 
-        def run_with_latent(partition, latent_partition):
-            if self._batched(partition):
-                block = kernels.stack_blocks([b for _, b in partition])
-                latent = kernels.stack_latents([x for _, x in latent_partition])
-                self._accumulate_ytx(
-                    block, latent, bc_projector.value, bc_mean.value,
-                    bc_latent_mean.value, mean_prop, ytx_data, latent_colsum, xtx_sum,
-                )
-                return
-            for (_, block), (_, latent) in zip(partition, latent_partition):
-                self._accumulate_ytx(
-                    block, latent, bc_projector.value, bc_mean.value,
-                    bc_latent_mean.value, mean_prop, ytx_data, latent_colsum, xtx_sum,
-                )
+        def run(partition, latent=None):
+            self._accumulate_ytx(
+                _stacked(partition), latent, bc_projector.value, bc_mean.value,
+                bc_latent_mean.value, mean_prop, ytx_data, latent_colsum, xtx_sum,
+            )
 
-        def run(partition):
-            blocks = [block for _, block in partition]
-            if self._batched(partition):
-                blocks = [kernels.stack_blocks(blocks)]
-            for block in blocks:
-                self._accumulate_ytx(
-                    block, None, bc_projector.value, bc_mean.value,
-                    bc_latent_mean.value, mean_prop, ytx_data, latent_colsum, xtx_sum,
-                )
+        def run_with_latent(partition, latent_partition):
+            run(partition, kernels.stack_latents([x for _, x in latent_partition]))
 
         if latent_rdd is not None:
             zipped = rdd.zip_partitions(latent_rdd, lambda a, b: [run_with_latent(a, b)])
@@ -187,33 +162,20 @@ class SparkBackend(Backend):
             )
 
         def zipped_ss3(partition, latent_partition):
-            if self._batched(partition):
-                total.add(
-                    partial(
-                        kernels.stack_blocks([b for _, b in partition]),
-                        kernels.stack_latents([x for _, x in latent_partition]),
-                    )
+            total.add(
+                partial(
+                    _stacked(partition),
+                    kernels.stack_latents([x for _, x in latent_partition]),
                 )
-                return (None,)
-            # One None marker per record, matching the historical byte
-            # accounting of the per-record closure.
-            return [
-                total.add(partial(block, latent))
-                for (_, block), (_, latent) in zip(partition, latent_partition)
-            ]
+            )
+            return (None,)
 
         if latent_rdd is not None:
             zipped = rdd.zip_partitions(latent_rdd, zipped_ss3)
             self.context.run_job(zipped, list, name="ss3Job")
         else:
             def run_ss3(partition):
-                if self._batched(partition):
-                    total.add(
-                        partial(kernels.stack_blocks([b for _, b in partition]), None)
-                    )
-                    return
-                for _, block in partition:
-                    total.add(partial(block, None))
+                total.add(partial(_stacked(partition), None))
 
             self.context.run_job(rdd, run_ss3, name="ss3Job")
         # The per-iteration latent cache is invalid once C changes.
@@ -238,22 +200,18 @@ class SparkBackend(Backend):
         mean_prop = self.config.use_mean_propagation
 
         def run(split, partition):
-            if sample_fraction >= 1.0 and self._batched(partition):
-                # Sampling is seeded per record start row, so only the
-                # unsampled path can stack the whole partition.
-                stacked = kernels.stack_blocks([block for _, block in partition])
-                parts = kernels.block_error_parts(
-                    stacked, bc_mean.value, bc_components.value,
-                    bc_ls_projector.value, mean_prop,
-                )
-                residual.add(parts[0])
-                magnitude.add(parts[1])
-                return ()
-            for start, block in partition:
-                if sample_fraction < 1.0:
-                    block = sample_rows(
+            if sample_fraction < 1.0:
+                # Sampling is seeded per record start row, so each record is
+                # sampled on its own rather than stacked.
+                blocks = (
+                    sample_rows(
                         block, sample_fraction, np.random.default_rng((seed, start))
                     )
+                    for start, block in partition
+                )
+            else:
+                blocks = [_stacked(partition)]
+            for block in blocks:
                 parts = kernels.block_error_parts(
                     block, bc_mean.value, bc_components.value,
                     bc_ls_projector.value, mean_prop,

@@ -16,6 +16,7 @@ from dataclasses import asdict
 from typing import TYPE_CHECKING
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.core.config import SPCAConfig, stored_config
 
@@ -30,10 +31,48 @@ from repro.core.convergence import ConvergenceTracker, IterationStats, TrainingH
 from repro.core.initialization import random_initialization, smart_guess_initialization
 from repro.core.model import PCAModel
 from repro.core.ppca import fit_ppca
-from repro.errors import CheckpointError, ConfigError, ShapeError
+from repro.errors import CheckpointError, ConfigError, DataError, ShapeError
 from repro.linalg.blocks import Matrix
 from repro.obs import get_tracer
 from repro.obs.metrics import get_registry
+
+
+def _check_finite(data: Matrix) -> None:
+    """Raise :class:`DataError` at the first NaN or inf entry of *data*.
+
+    The common case is one reduction over the stored values (``data.data``
+    for sparse input) with no N x D temporary; entries are scanned only when
+    that total is not finite, so a sum that overflows over finite entries
+    passes.
+    """
+    if sp.issparse(data):
+        data = data.tocsr()
+        values = data.data
+    else:
+        values = np.asarray(data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(values.sum()):
+            return
+    if sp.issparse(data):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            index = int(bad[0])
+            row = int(np.searchsorted(data.indptr, index, side="right")) - 1
+            _raise_non_finite(values[index], row, int(data.indices[index]))
+        return
+    rows_per_chunk = max(1, 2**20 // max(1, values.shape[1]))
+    for start in range(0, values.shape[0], rows_per_chunk):
+        bad = np.argwhere(~np.isfinite(values[start:start + rows_per_chunk]))
+        if bad.size:
+            row, col = (int(i) for i in bad[0])
+            _raise_non_finite(values[start + row, col], start + row, col)
+
+
+def _raise_non_finite(value, row: int, col: int) -> None:
+    raise DataError(
+        f"input holds a non-finite value ({value}) at row {row}, column {col}; "
+        "remove or impute it before fitting"
+    )
 
 
 class SPCA:
@@ -81,6 +120,7 @@ class SPCA:
         config = self.config
         n_samples, n_features = data.shape
         self._validate_shape(n_samples, n_features)
+        _check_finite(data)
         tracer = get_tracer()
         with tracer.span(
             "run",
@@ -132,6 +172,7 @@ class SPCA:
             )
         n_samples, n_features = data.shape
         self._validate_shape(n_samples, n_features)
+        _check_finite(data)
         checkpoint = (
             CheckpointPolicy(store, checkpoint_every)
             if checkpoint_every is not None

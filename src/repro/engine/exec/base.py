@@ -24,7 +24,6 @@ from typing import Any, Callable, Sequence
 
 import repro.engine.exec.resident as resident
 from repro.engine.exec.resident import ResidentPayloadRef
-from repro.engine.serde import clear_sizeof_cache
 from repro.obs import get_tracer
 from repro.obs.metrics import get_registry
 
@@ -112,15 +111,8 @@ class TaskExecutor:
         return self
 
     def shutdown(self) -> None:
-        """Release pools and shared-memory segments; idempotent.
-
-        Also clears the identity-keyed ``sizeof`` memo: its ``id()`` keys
-        are only valid while this executor's payload objects (including
-        re-attached shm views) are alive, and dropping them here prevents
-        cross-run collisions after the interpreter reuses the addresses.
-        """
+        """Release pools and shared-memory segments; idempotent."""
         self.unpin_all()
-        clear_sizeof_cache()
 
     def __enter__(self) -> "TaskExecutor":
         return self

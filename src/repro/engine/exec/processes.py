@@ -31,7 +31,6 @@ from repro.engine.exec.base import (
     reraise_first_failure,
 )
 from repro.engine.exec.resident import ResidentPayloadRef
-from repro.engine.serde import clear_sizeof_cache
 from repro.engine.exec.shm import (
     DEFAULT_SHM_THRESHOLD,
     ShmBlockRegistry,
@@ -134,7 +133,6 @@ class ProcessPoolTaskExecutor(TaskExecutor):
         self._emit_dispatch(
             label, len(payloads), shm_threshold=self.shm_threshold
         )
-        shm_requests_before = self.registry.requests
         encoded = [
             encode_payload(payload, self.registry, self.shm_threshold)
             for payload in payloads
@@ -180,14 +178,6 @@ class ProcessPoolTaskExecutor(TaskExecutor):
                 errors.append((index, error))
         self._emit_join(label, walls, started)
         reraise_first_failure(errors)
-        # Clear-on-commit for shm batches: the inline-fallback path attaches
-        # zero-copy views in this process whose buffers die with the batch,
-        # so sizes memoized against them must not survive into addresses a
-        # later allocation may recycle.  Identity validation already makes a
-        # stale hit impossible; clearing here also keeps the memo from
-        # accumulating dead entries across an iterative fit's many batches.
-        if self.registry.requests != shm_requests_before:
-            clear_sizeof_cache()
         return results
 
     def shutdown(self) -> None:

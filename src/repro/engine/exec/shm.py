@@ -15,8 +15,8 @@ Segments are owned by the *creating* process through a
 :class:`ShmBlockRegistry`:
 
 - the registry memoizes segments by source-array identity (weakref
-  validated, like the ``sizeof`` cache), so the same input block shipped on
-  every job of an iterative fit is copied into shared memory exactly once;
+  validated), so the same input block shipped on every job of an iterative
+  fit is copied into shared memory exactly once;
 - a ``weakref.finalize`` on the source array unlinks the segment as soon as
   the array is garbage collected;
 - :meth:`ShmBlockRegistry.unlink_all` (called from executor ``shutdown()``)
@@ -95,16 +95,12 @@ class ShmBlockRegistry:
         # segment name -> SharedMemory handle (kept open so views stay valid)
         self._segments: dict[str, shared_memory.SharedMemory] = {}
         # id(source array) -> (weakref, segment name): one copy per distinct
-        # live array, exactly the identity-memoization scheme of sizeof().
+        # live array; the weakref validates a hit against a recycled id().
         self._by_array: dict[int, tuple[weakref.ref, str]] = {}
         # Names of raw pinned-blob segments (worker-resident payloads).
         # They live in _segments like array segments, but have no source
         # array whose finalizer could reclaim them, so unpin must be explicit.
         self._pinned: set[str] = set()
-        # Monotonic count of share_array calls; the process executor compares
-        # it across a batch to learn whether any payload rode shared memory
-        # (and therefore whether the sizeof memo must be cleared at commit).
-        self.requests = 0
         atexit.register(self.unlink_all)
 
     # -- sharing ---------------------------------------------------------
@@ -113,7 +109,6 @@ class ShmBlockRegistry:
         """Copy *array* into shared memory (memoized) and return its ref."""
         key = id(array)
         with self._lock:
-            self.requests += 1
             entry = self._by_array.get(key)
             if entry is not None and entry[0]() is array:
                 name = entry[1]

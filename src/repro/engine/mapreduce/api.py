@@ -9,18 +9,15 @@ The ``cleanup``-emits-records hook is load-bearing: sPCA's YtXJob uses a
 *stateful combiner* (Section 4.1) -- the mapper accumulates partial XtX/YtX
 matrices across all of its input and emits them once, from ``cleanup``.
 
-Batch protocol
---------------
+Record path
+-----------
 
-``map_batch`` / ``reduce_batch`` are the batched fast path: the runtime
-hands a mapper its whole split (and a reducer its whole sorted key-group
-list) in one call, so a vectorizing override can replace N per-record
-Python/numpy dispatches with one stacked kernel call.  The base-class
-implementations fall back to the per-record ``map``/``reduce`` hooks, so
-every existing job runs unchanged -- overriding the batch hook is purely an
-optimization and must preserve the per-record semantics (same emitted
-records up to floating-point summation order, same counters, same output
-shapes and therefore byte accounting).
+The runtime hands each map task its whole split in one
+:meth:`Mapper.map_batch` call.  The base implementation loops the
+per-record :meth:`Mapper.map` hook, so a user job overrides ``map`` alone;
+a job that vectorizes across its split, as the sPCA jobs do, overrides
+``map_batch`` instead.  Reducers are called once per key, in the runtime's
+sorted key order.
 """
 
 from __future__ import annotations
@@ -56,11 +53,9 @@ class Mapper:
         yield key, value
 
     def map_batch(self, records: Sequence[Pair], ctx: TaskContext) -> list[Pair]:
-        """Process one whole split; falls back to per-record :meth:`map`.
+        """Process one whole split; the default calls :meth:`map` per record.
 
-        Override to vectorize across the split's records.  An override must
-        emit the same records (up to floating-point summation order) and the
-        same counter increments as the per-record path would.
+        Override to vectorize across the split's records.
         """
         output: list[Pair] = []
         for key, value in records:
@@ -81,18 +76,6 @@ class Reducer:
     def reduce(self, key: Any, values: list[Any], ctx: TaskContext) -> Iterator[Pair]:
         """Process all values of one key; yield zero or more pairs."""
         yield key, values
-
-    def reduce_batch(
-        self, groups: Sequence[tuple[Any, list[Any]]], ctx: TaskContext
-    ) -> list[Pair]:
-        """Process every (key, values) group of a task; falls back to
-        per-key :meth:`reduce`.  Groups arrive in the runtime's sorted key
-        order; an override must preserve that emission order.
-        """
-        output: list[Pair] = []
-        for key, values in groups:
-            output.extend(self.reduce(key, values, ctx))
-        return output
 
     def cleanup(self, ctx: TaskContext) -> Iterable[Pair]:
         """Called once after the last key; may emit final pairs."""

@@ -121,24 +121,18 @@ def _instantiate(template):
 
 
 def _run_map_once(
-    template, config: dict, job_name: str, split, task_id: int, enable_batch: bool
+    template, config: dict, job_name: str, split, task_id: int
 ) -> tuple[list[Pair], TaskContext]:
     mapper: Mapper = _instantiate(template)
     ctx = TaskContext(job_name, task_id, dict(config))
     mapper.setup(ctx)
-    if enable_batch:
-        output = list(mapper.map_batch(split, ctx))
-    else:
-        # Per-record baseline: bypass any map_batch override.
-        output = []
-        for key, value in split:
-            output.extend(mapper.map(key, value, ctx))
+    output = list(mapper.map_batch(split, ctx))
     output.extend(mapper.cleanup(ctx))
     return output, ctx
 
 
 def _run_reduce_once(
-    template, config: dict, job_name: str, pairs, task_id: int, enable_batch: bool
+    template, config: dict, job_name: str, pairs, task_id: int
 ) -> tuple[list[Pair], TaskContext]:
     reducer: Reducer = _instantiate(template)
     ctx = TaskContext(job_name, task_id, dict(config))
@@ -146,13 +140,9 @@ def _run_reduce_once(
     groups: dict[Any, list[Any]] = defaultdict(list)
     for key, value in pairs:
         groups[key].append(value)
-    ordered = [(key, groups[key]) for key in sorted(groups, key=repr)]
-    if enable_batch:
-        output = list(reducer.reduce_batch(ordered, ctx))
-    else:
-        output = []
-        for key, values in ordered:
-            output.extend(reducer.reduce(key, values, ctx))
+    output: list[Pair] = []
+    for key in sorted(groups, key=repr):
+        output.extend(reducer.reduce(key, groups[key], ctx))
     output.extend(reducer.cleanup(ctx))
     return output, ctx
 
@@ -178,12 +168,11 @@ class _StageTaskOutcome:
 def _execute_stage_task(payload) -> _StageTaskOutcome:
     """Run one task's full retry loop from a precomputed fault plan.
 
-    ``payload`` is ``(kind, template, config, job_name, task_id, data,
-    enable_batch, plan)`` where ``plan`` comes from
-    :meth:`FaultInjector.plan_task`.  Everything observable is returned, not
-    applied: the driver commits in task order.
+    ``payload`` is ``(kind, template, config, job_name, task_id, data, plan)``
+    where ``plan`` comes from :meth:`FaultInjector.plan_task`.  Everything
+    observable is returned, not applied: the driver commits in task order.
     """
-    kind, template, config, job_name, task_id, data, enable_batch, plan = payload
+    kind, template, config, job_name, task_id, data, plan = payload
     # Worker-resident inputs arrive as a tiny ref; everything else passes
     # through untouched.
     data = resolve_payload(data)
@@ -192,14 +181,8 @@ def _execute_stage_task(payload) -> _StageTaskOutcome:
     failed_seconds: list[float] = []
     for attempt, (factor, label) in enumerate(plan, 1):
         started = time.perf_counter()
-        if kind == "map":
-            result, ctx = _run_map_once(
-                template, config, job_name, data, task_id, enable_batch
-            )
-        else:
-            result, ctx = _run_reduce_once(
-                template, config, job_name, data, task_id, enable_batch
-            )
+        run_once = _run_map_once if kind == "map" else _run_reduce_once
+        result, ctx = run_once(template, config, job_name, data, task_id)
         elapsed = time.perf_counter() - started
         if factor != 1.0:
             elapsed *= factor
@@ -245,11 +228,6 @@ class MapReduceRuntime:
             with the historical inline coin flip).  Stage directives a plan
             issues for Spark-only faults (executor loss, driver memory caps)
             are ignored here: MapReduce tasks restart from durable HDFS.
-        enable_batch: when True (default) tasks are dispatched through the
-            ``map_batch``/``reduce_batch`` protocol, which vectorizing
-            mappers override; when False every record goes through the
-            per-record ``map``/``reduce`` hooks, ignoring batch overrides
-            (the regression-harness baseline).
         executor: a :class:`~repro.engine.exec.TaskExecutor`, an executor
             name (``serial``/``threads``/``processes``), or None for serial.
             Concurrent executors run a stage's independent tasks in
@@ -270,7 +248,6 @@ class MapReduceRuntime:
         failure_rate: float = 0.0,
         max_task_attempts: int = 4,
         seed: int = 0,
-        enable_batch: bool = True,
         faults: FaultInjector | None = None,
         executor: TaskExecutor | str | None = None,
         workers: int | None = None,
@@ -282,7 +259,6 @@ class MapReduceRuntime:
         self.hdfs = hdfs or InMemoryHDFS()
         self.failure_rate = failure_rate
         self.max_task_attempts = max_task_attempts
-        self.enable_batch = enable_batch
         self.metrics = EngineMetrics()
         self.faults = faults if faults is not None else RandomFaults(failure_rate, seed)
         self.executor = resolve_executor(executor, workers)
@@ -465,7 +441,7 @@ class MapReduceRuntime:
         shipped = payload_datas if payload_datas is not None else datas
         payloads = [
             (kind, template, config, job.name, task_id, shipped[task_id],
-             self.enable_batch, plans[task_id])
+             plans[task_id])
             for task_id in range(len(datas))
         ]
         outcomes = self.executor.run_tasks(
@@ -551,16 +527,12 @@ class MapReduceRuntime:
     def _run_map_task(
         self, job: MapReduceJob, split, task_id: int
     ) -> tuple[list[Pair], TaskContext]:
-        return _run_map_once(
-            job.mapper, job.config, job.name, split, task_id, self.enable_batch
-        )
+        return _run_map_once(job.mapper, job.config, job.name, split, task_id)
 
     def _run_reduce_like(
         self, template, job, pairs, task_id: int
     ) -> tuple[list[Pair], TaskContext]:
-        return _run_reduce_once(
-            template, job.config, job.name, pairs, task_id, self.enable_batch
-        )
+        return _run_reduce_once(template, job.config, job.name, pairs, task_id)
 
     def _merge_counters(self, ctx: TaskContext, stats: JobStats) -> None:
         for counter, amount in ctx.counters.items():

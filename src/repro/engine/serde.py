@@ -7,30 +7,11 @@ charges numpy buffers at their true byte size and Python scalars/containers
 at small fixed overheads.  The estimates are deterministic, additive, and
 close enough to any real encoding that byte *ratios* (the quantity the paper
 reports: 961 GB vs 131 MB) are preserved.
-
-Sizes of numpy arrays and scipy sparse matrices are memoized by object
-identity: the engines re-measure the same model matrices on every job (HDFS
-re-read accounting, map-output spill, shuffle), and without the cache those
-repeat walks dominate simulator wall-clock at benchmark scale.  The cache
-assumes values flowing through the engines are treated as immutable records
--- which every engine here guarantees -- and entries are dropped as soon as
-the measured object is garbage-collected, so a recycled ``id()`` can never
-alias a stale size.
-
-Shared-memory interplay (``repro.engine.exec``): the process-pool executor
-re-attaches shm segments as fresh zero-copy ndarray views, and every
-attachment is a *new* Python object whose ``id()`` may land on a recycled
-address.  Hits are therefore validated by identity (``entry[0]() is
-value``), never trusted on the key alone, which makes re-attachment safe by
-construction; and executors call :func:`clear_sizeof_cache` from
-``shutdown()`` so sizes measured against one run's payload objects cannot
-leak into the next run through recycled ids of long-lived view buffers.
 """
 
 from __future__ import annotations
 
-import weakref
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,57 +19,6 @@ import scipy.sparse as sp
 # Fixed per-object overheads, roughly matching compact binary encodings.
 _SCALAR_BYTES = 8
 _CONTAINER_OVERHEAD = 8
-
-# Identity-keyed size cache: id -> (weakref to the measured object, size).
-# The weakref both validates the hit (the referent must still be the same
-# object) and evicts the entry on collection via its callback.
-_MEMO_MAX_ENTRIES = 65536
-_memo: dict[int, tuple[weakref.ref, int]] = {}
-
-# Observability hook for the dynamic race detector (repro.lint.racecheck):
-# called as observer(id_key, size, hit) on every memo read/write so the
-# checker can watch the cache's shared state without slowing the fast path.
-_memo_observer: Callable[[int, int, bool], None] | None = None
-
-
-def set_sizeof_observer(observer: Callable[[int, int, bool], None] | None) -> None:
-    """Install (or clear, with None) the sizeof-memo access observer."""
-    global _memo_observer
-    _memo_observer = observer
-
-
-def clear_sizeof_cache() -> None:
-    """Drop every memoized size (used by benchmarks to measure cold cost)."""
-    _memo.clear()
-
-
-def sizeof_cache_entries() -> int:
-    """Number of live entries in the identity-keyed size cache."""
-    return len(_memo)
-
-
-def _memoized(value: Any, compute: Callable[[Any], int]) -> int:
-    key = id(value)
-    entry = _memo.get(key)
-    if entry is not None and entry[0]() is value:
-        if _memo_observer is not None:
-            _memo_observer(key, entry[1], True)
-        return entry[1]
-    size = compute(value)
-    if len(_memo) >= _MEMO_MAX_ENTRIES:
-        _memo.clear()
-    try:
-        ref = weakref.ref(value, lambda _, key=key: _memo.pop(key, None))
-    except TypeError:  # pragma: no cover - ndarray/sparse are weakref-able
-        return size
-    _memo[key] = (ref, size)
-    if _memo_observer is not None:
-        _memo_observer(key, size, False)
-    return size
-
-
-def _ndarray_size(value: np.ndarray) -> int:
-    return int(value.nbytes) + _CONTAINER_OVERHEAD
 
 
 def _sparse_size(value: Any) -> int:
@@ -137,9 +67,9 @@ def sizeof(value: object) -> int:
     if isinstance(value, (str, bytes)):
         return len(value) + _CONTAINER_OVERHEAD
     if isinstance(value, np.ndarray):
-        return _memoized(value, _ndarray_size)
+        return int(value.nbytes) + _CONTAINER_OVERHEAD
     if sp.issparse(value):
-        return _memoized(value, _sparse_size)
+        return _sparse_size(value)
     if isinstance(value, dict):
         return _CONTAINER_OVERHEAD + sum(
             sizeof(k) + sizeof(v) for k, v in value.items()

@@ -140,10 +140,6 @@ class SparkContext:
             bit-compatible with the historical inline coin flip).  Stage
             directives can lose an executor (its cached blocks recompute
             from lineage, charged as recovery time) or cap the driver heap.
-        enable_batch: when True (default) RDDs built with a ``batch_fn`` and
-            backends that support partition-batched closures use the batched
-            fast path; when False every record goes through the per-record
-            closures (the regression-harness baseline).
         executor: a :class:`~repro.engine.exec.TaskExecutor`, an executor
             name (``serial``/``threads``/``processes``), or None for serial.
             Concurrent executors evaluate a stage's partitions in parallel
@@ -163,7 +159,6 @@ class SparkContext:
         failure_rate: float = 0.0,
         max_task_attempts: int = 4,
         seed: int = 0,
-        enable_batch: bool = True,
         faults: FaultInjector | None = None,
         executor: TaskExecutor | str | None = None,
         workers: int | None = None,
@@ -174,7 +169,6 @@ class SparkContext:
         self.cost_model = cost_model
         self.failure_rate = failure_rate
         self.max_task_attempts = max_task_attempts
-        self.enable_batch = enable_batch
         self.metrics = EngineMetrics()
         self.driver = DriverMemoryMonitor(self.cluster.driver_memory_bytes)
         self.block_manager = BlockManager(self.cluster.aggregate_memory_bytes)

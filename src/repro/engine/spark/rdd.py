@@ -189,28 +189,8 @@ class RDD:
 
     # -- transformations (lazy) ----------------------------------------------
 
-    def map(
-        self,
-        fn: Callable[[Any], Any],
-        batch_fn: Callable[[list], list] | None = None,
-    ) -> "RDD":
-        """Element-wise transformation, with an optional batched fast path.
-
-        When *batch_fn* is given and the context runs with batching enabled,
-        each partition is transformed by one ``batch_fn(items)`` call (the
-        ``mapPartitions``-style analogue of the MapReduce ``map_batch``
-        protocol) instead of a per-element ``fn`` call; *fn* remains the
-        per-record fallback and defines the semantics *batch_fn* must match.
-        """
-        if batch_fn is None:
-            return self.map_partitions(lambda items: [fn(item) for item in items])
-
-        def run(items: list) -> list:
-            if self.context.enable_batch:
-                return list(batch_fn(items))
-            return [fn(item) for item in items]
-
-        return self.map_partitions(run)
+    def map(self, fn: Callable[[Any], Any]) -> "RDD":
+        return self.map_partitions(lambda items: [fn(item) for item in items])
 
     def flat_map(self, fn: Callable[[Any], Iterable[Any]]) -> "RDD":
         return self.map_partitions(

@@ -16,6 +16,13 @@ class ShapeError(ReproError, ValueError):
     """An array or matrix argument has an incompatible shape."""
 
 
+class DataError(ReproError, ValueError):
+    """Input data holds a value the algorithm cannot fit (NaN or inf).
+
+    The message names the row and column of the first offending entry.
+    """
+
+
 class ConfigError(ReproError, ValueError):
     """A configuration value is invalid (the message names valid choices)."""
 

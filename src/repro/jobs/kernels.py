@@ -43,16 +43,15 @@ def _centered(block: Matrix, mean: np.ndarray) -> np.ndarray:
 
 
 def stack_blocks(blocks: list[Matrix]) -> Matrix:
-    """Vertically stack row blocks into one block for a batched kernel call.
+    """Vertically stack row blocks into one block for a single kernel call.
 
-    This is the work-horse of the batch record pipeline: a mapper handed a
-    whole split of fine-grained row blocks stacks them once and runs each
-    per-block kernel a single time, replacing N small scipy/numpy dispatches
-    (each dominated by fixed overhead at paper-style record granularity) with
-    one big one.  A single block is returned as-is, which keeps the batch
-    path bit-identical to the per-record path for the default one-block
-    splits.  All-sparse inputs stay sparse (CSR); any dense block densifies
-    the stack, mirroring how the per-record kernels treat dense input.
+    Every sPCA mapper and Spark partition closure stacks its whole split
+    once and runs each per-block kernel a single time, instead of N small
+    scipy/numpy dispatches (each dominated by fixed overhead at paper-style
+    record granularity).  A single block is returned as-is, so the default
+    one-block splits and partitions run their kernels on the block itself.
+    All-sparse inputs stay sparse (CSR); any dense block densifies the
+    stack, mirroring how the kernels treat dense input.
     """
     if not blocks:
         raise ShapeError("cannot stack an empty list of blocks")

@@ -1,8 +1,11 @@
 """The sPCA MapReduce jobs of Section 4.1.
 
 Input records are ``(start_row, block)`` pairs where *block* is a CSR or
-dense row block.  Small matrices (Ym, CM, Xm, C) travel in the job
-configuration -- the simulator's stand-in for Hadoop's DistributedCache.
+dense row block.  Each sPCA mapper implements ``map_batch`` only, so it sees
+its whole split in one call; ``NaiveYtXMapper`` alone keeps a per-record
+``map``, because per-record emission is the ablation it models.  Small
+matrices (Ym, CM, Xm, C) travel in the job configuration -- the simulator's
+stand-in for Hadoop's DistributedCache.
 
 The YtX mapper demonstrates the paper's *stateful combiner*: instead of
 emitting a dense partial matrix per input record (which would swamp the
@@ -48,12 +51,6 @@ class MeanMapper(Mapper):
         self.sums = None
         self.count = 0
 
-    def map(self, key, value, ctx):
-        sums, rows = kernels.block_sums(value)
-        self.sums = sums if self.sums is None else self.sums + sums
-        self.count += rows
-        return ()
-
     def map_batch(self, records, ctx):
         if records:
             stacked = kernels.stack_blocks([value for _, value in records])
@@ -76,12 +73,6 @@ class FnormMapper(Mapper):
 
     def setup(self, ctx):
         self.total = 0.0
-
-    def map(self, key, value, ctx):
-        self.total += kernels.block_frobenius(
-            value, ctx.config["mean"], ctx.config["efficient"]
-        )
-        return ()
 
     def map_batch(self, records, ctx):
         if records:
@@ -115,27 +106,12 @@ class YtXMapper(Mapper):
         self.xsum_partial = None
         self.xtx_partial = None
 
-    def map(self, key, value, ctx):
-        block, latent = _split_value(value)
-        self._consume(block, latent, ctx)
-        return ()
-
     def map_batch(self, records, ctx):
-        if records:
-            blocks, latents = [], []
-            for _, value in records:
-                block, latent = _split_value(value)
-                blocks.append(block)
-                latents.append(latent)
-            stacked_latent = (
-                kernels.stack_latents(latents) if latents[0] is not None else None
-            )
-            self._consume(kernels.stack_blocks(blocks), stacked_latent, ctx)
-        return []
-
-    def _consume(self, block, latent, ctx):
         import scipy.sparse as sp
 
+        if not records:
+            return []
+        block, latent = _stack_split(records)
         config = ctx.config
         mean_prop = config["mean_propagation"]
         if mean_prop and sp.issparse(block):
@@ -159,6 +135,7 @@ class YtXMapper(Mapper):
         ctx.increment("ytx/rows", block.shape[0])
         self.ytx_partial = ytx if self.ytx_partial is None else self.ytx_partial + ytx
         self.xtx_partial = xtx if self.xtx_partial is None else self.xtx_partial + xtx
+        return []
 
     def cleanup(self, ctx):
         import scipy.sparse as sp
@@ -182,7 +159,7 @@ class YtXMapper(Mapper):
         yield KEY_XTX, self.xtx_partial
 
 
-class NaiveYtXMapper(YtXMapper):
+class NaiveYtXMapper(Mapper):
     """Ablation of the stateful combiner: one dense partial per record.
 
     This is how a straightforward port would behave -- and why Mahout's
@@ -204,11 +181,6 @@ class NaiveYtXMapper(YtXMapper):
         yield KEY_YTX, ytx
         yield KEY_XTX, xtx
 
-    def map_batch(self, records, ctx):
-        # Stacking would silently reinstate the combiner this ablation
-        # removes; keep the naive per-record dataflow under batching too.
-        return Mapper.map_batch(self, records, ctx)
-
 
 class XMaterializeMapper(Mapper):
     """Ablation of X recomputation: write the latent matrix X to HDFS.
@@ -218,20 +190,10 @@ class XMaterializeMapper(Mapper):
     (Section 3.2: "nearly 500 GB of intermediate data").
     """
 
-    def map(self, key, value, ctx):
-        latent = kernels.block_latent(
-            value,
-            ctx.config["mean"],
-            ctx.config["projector"],
-            ctx.config["latent_mean"],
-            ctx.config["mean_propagation"],
-        )
-        yield key, latent
-
     def map_batch(self, records, ctx):
         # Output is keyed per record (downstream joins X blocks back to
-        # their Y blocks by start row), so the batch path keeps per-record
-        # kernel calls and only drops the per-record generator machinery.
+        # their Y blocks by start row), so each record keeps its own kernel
+        # call.
         config = ctx.config
         return [
             (
@@ -254,38 +216,17 @@ class SS3Mapper(Mapper):
     def setup(self, ctx):
         self.total = 0.0
 
-    def map(self, key, value, ctx):
-        block, latent = _split_value(value)
-        self.total += kernels.block_ss3(
-            block,
-            ctx.config["mean"],
-            ctx.config["projector"],
-            ctx.config["latent_mean"],
-            ctx.config["components"],
-            ctx.config["mean_propagation"],
-            latent=latent,
-        )
-        return ()
-
     def map_batch(self, records, ctx):
         if records:
-            blocks, latents = [], []
-            for _, value in records:
-                block, latent = _split_value(value)
-                blocks.append(block)
-                latents.append(latent)
+            block, latent = _stack_split(records)
             self.total += kernels.block_ss3(
-                kernels.stack_blocks(blocks),
+                block,
                 ctx.config["mean"],
                 ctx.config["projector"],
                 ctx.config["latent_mean"],
                 ctx.config["components"],
                 ctx.config["mean_propagation"],
-                latent=(
-                    kernels.stack_latents(latents)
-                    if latents[0] is not None
-                    else None
-                ),
+                latent=latent,
             )
         return []
 
@@ -304,36 +245,27 @@ class ErrorMapper(Mapper):
         self.residual = None
         self.magnitude = None
 
-    def map(self, key, value, ctx):
-        block = value
-        fraction = ctx.config["sample_fraction"]
-        if fraction < 1.0:
-            rng = np.random.default_rng((ctx.config["seed"], ctx.task_id, key))
-            block = sample_rows(block, fraction, rng)
-        residual, magnitude = kernels.block_error_parts(
-            block,
-            ctx.config["mean"],
-            ctx.config["components"],
-            ctx.config["ls_projector"],
-            ctx.config["mean_propagation"],
-        )
-        self.residual = residual if self.residual is None else self.residual + residual
-        self.magnitude = magnitude if self.magnitude is None else self.magnitude + magnitude
-        return ()
-
     def map_batch(self, records, ctx):
-        if ctx.config["sample_fraction"] < 1.0:
-            # Row sampling is seeded per record key; batching would change
-            # which rows get sampled, so keep the per-record path.
-            return Mapper.map_batch(self, records, ctx)
-        if records:
-            stacked = kernels.stack_blocks([value for _, value in records])
+        config = ctx.config
+        fraction = config["sample_fraction"]
+        if fraction < 1.0:
+            # Row sampling is seeded per record key; stacking would change
+            # which rows get sampled, so each record is sampled on its own.
+            blocks = (
+                sample_rows(
+                    value, fraction,
+                    np.random.default_rng((config["seed"], ctx.task_id, key)),
+                )
+                for key, value in records
+            )
+        elif records:
+            blocks = [kernels.stack_blocks([value for _, value in records])]
+        else:
+            blocks = []
+        for block in blocks:
             residual, magnitude = kernels.block_error_parts(
-                stacked,
-                ctx.config["mean"],
-                ctx.config["components"],
-                ctx.config["ls_projector"],
-                ctx.config["mean_propagation"],
+                block, config["mean"], config["components"],
+                config["ls_projector"], config["mean_propagation"],
             )
             self.residual = (
                 residual if self.residual is None else self.residual + residual
@@ -354,3 +286,11 @@ def _split_value(value):
     if isinstance(value, tuple):
         return value
     return value, None
+
+
+def _stack_split(records):
+    """A split's Y blocks stacked, and its X blocks stacked (None unless
+    the materialized-X ablation pairs each Y block with its X block)."""
+    blocks, latents = zip(*(_split_value(value) for _, value in records))
+    latent = None if latents[0] is None else kernels.stack_latents(list(latents))
+    return kernels.stack_blocks(list(blocks)), latent

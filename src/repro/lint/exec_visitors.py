@@ -454,7 +454,6 @@ _TASK_METHOD_NAMES = {
     "map",
     "map_batch",
     "reduce",
-    "reduce_batch",
     "combine",
     "setup",
     "cleanup",

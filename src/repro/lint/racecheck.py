@@ -3,9 +3,9 @@
 The static EX rules check one module at a time; this harness checks the
 *running* system.  It wraps an engine's executor in an instrumented shadow,
 records every access to driver-visible shared state (``BlockManager``,
-``EngineMetrics``, fault counters, accumulators, the ``sizeof`` memo, the
-lost-block set) with the identity of the task that made it, and builds a
-happens-before relation from the execute/commit split:
+``EngineMetrics``, fault counters, accumulators, the lost-block set) with
+the identity of the task that made it, and builds a happens-before relation
+from the execute/commit split:
 
 - each ``run_tasks`` batch is one **epoch**; tasks inside an epoch are
   mutually concurrent (no ordering between them);
@@ -15,10 +15,9 @@ happens-before relation from the execute/commit split:
 
 Any *write* to commit-ordered state from inside a task is therefore a
 protocol violation on its own (the commit loop could interleave with it),
-and two tasks touching the same key with at least one write is a race.  The
-``sizeof`` memo gets a weaker, idempotent policy: concurrent writes are fine
-as long as every task writes the same size for the same identity key --
-exactly the property the identity-validated memoization relies on.
+and two tasks touching the same key with at least one write is a race.
+State registered with the weaker *idempotent* policy tolerates concurrent
+writes as long as every task writes the same value for the same key.
 
 Process-pool note: instrumentation lives in driver-process memory, so the
 checker shadows a ``processes`` executor with its in-process thread sibling
@@ -34,7 +33,6 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.engine import serde
 from repro.engine.exec.base import TaskExecutor
 
 #: Access policies, per watched object.
@@ -44,16 +42,14 @@ POLICY_IDEMPOTENT = "idempotent"  # in-task writes must agree on the value
 #: Wildcard key: conflicts with every other key of the same object.
 WILDCARD_KEY = "*"
 
-#: Default policy per watched object label.  Everything driver-owned is
-#: commit-ordered; the sizeof memo tolerates concurrent writes so long as
-#: they agree on the value (identity-validated memoization).
+#: Default policy per watched object label: everything driver-owned is
+#: commit-ordered.
 DEFAULT_POLICIES: dict[str, str] = {
     "BlockManager": POLICY_COMMIT_ORDERED,
     "EngineMetrics": POLICY_COMMIT_ORDERED,
     "JobStats.faults": POLICY_COMMIT_ORDERED,
     "Accumulator": POLICY_COMMIT_ORDERED,
     "lost_blocks": POLICY_COMMIT_ORDERED,
-    "sizeof_memo": POLICY_IDEMPOTENT,
 }
 
 
@@ -342,7 +338,6 @@ class RaceChecker:
     - ``BlockManager`` puts/gets/evictions, ``EngineMetrics.record``,
       ``JobStats.count_fault``, and ``Accumulator._apply`` are patched
       class-wide to report to the recorder;
-    - the ``sizeof`` memo reports through its observer hook;
     - a Spark context's lost-block set is wrapped to record membership
       tests and mutations.
 
@@ -419,11 +414,6 @@ class RaceChecker:
         self._patch(EngineMetrics, "record", wrap_record)
         self._patch(JobStats, "count_fault", wrap_count_fault)
         self._patch(Accumulator, "_apply", wrap_apply)
-        serde.set_sizeof_observer(
-            lambda key, size, hit: recorder.record(
-                "sizeof_memo", key, "read" if hit else "write", size
-            )
-        )
 
         self._saved_executor = self.engine.executor
         self.engine.executor = RaceCheckExecutor(self._saved_executor, recorder)
@@ -436,7 +426,6 @@ class RaceChecker:
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
-        serde.set_sizeof_observer(None)
         for owner, name, original in reversed(self._patches):
             setattr(owner, name, original)
         self._patches.clear()

@@ -1,4 +1,4 @@
-"""The batched record pipeline: dispatch, fallback, and partitioning."""
+"""The split-at-a-time record path: dispatch, fallback, and partitioning."""
 
 import numpy as np
 import pytest
@@ -16,31 +16,17 @@ from repro.jobs import kernels
 
 
 class RecordingBatchMapper(Mapper):
-    """Counts how work arrives: one batch call per split, or per record."""
-
-    def setup(self, ctx):
-        self.batch_sizes = []
-        self.single_calls = 0
-
-    def map(self, key, value, ctx):
-        self.single_calls += 1
-        ctx.increment("single_calls")
-        yield key, value * 10
+    """Counts how work arrives: one ``map_batch`` call per split."""
 
     def map_batch(self, records, ctx):
-        self.batch_sizes.append(len(records))
         ctx.increment("batch_calls")
         return [(key, value * 10) for key, value in records]
 
 
-class RecordingBatchReducer(Reducer):
+class RecordingReducer(Reducer):
     def reduce(self, key, values, ctx):
         ctx.increment("reduce_calls")
         yield key, sum(values)
-
-    def reduce_batch(self, groups, ctx):
-        ctx.increment("reduce_batch_calls")
-        return [(key, sum(values)) for key, values in groups]
 
 
 RECORDS = [(i % 3, i) for i in range(12)]
@@ -55,61 +41,31 @@ def small_runtime(**kwargs):
 
 class TestMapReduceBatchDispatch:
     def test_batch_mapper_sees_whole_splits(self):
-        runtime = small_runtime(enable_batch=True)
+        runtime = small_runtime()
         job = MapReduceJob(name="j", mapper=RecordingBatchMapper())
         output = runtime.run(job, SPLITS)
         stats = runtime.metrics.jobs[0]
         assert stats.counters["batch_calls"] == 3
-        assert "single_calls" not in stats.counters
-        assert sorted(output) == sorted((k, v * 10) for k, v in RECORDS)
-
-    def test_disabled_batching_ignores_override(self):
-        runtime = small_runtime(enable_batch=False)
-        job = MapReduceJob(name="j", mapper=RecordingBatchMapper())
-        output = runtime.run(job, SPLITS)
-        stats = runtime.metrics.jobs[0]
-        assert stats.counters["single_calls"] == len(RECORDS)
-        assert "batch_calls" not in stats.counters
         assert sorted(output) == sorted((k, v * 10) for k, v in RECORDS)
 
     def test_default_map_batch_falls_back_to_map(self):
         class Doubler(Mapper):
             def map(self, key, value, ctx):
+                ctx.increment("map_calls")
                 yield key, value * 2
 
-        batched = small_runtime(enable_batch=True)
-        plain = small_runtime(enable_batch=False)
+        runtime = small_runtime()
         job = MapReduceJob(name="j", mapper=Doubler())
-        assert batched.run(job, SPLITS) == plain.run(job, SPLITS)
-
-    def test_reduce_batch_dispatch(self):
-        runtime = small_runtime(enable_batch=True)
-        job = MapReduceJob(
-            name="j", mapper=Mapper(), reducer=RecordingBatchReducer()
-        )
-        output = dict(runtime.run(job, SPLITS))
-        stats = runtime.metrics.jobs[0]
-        assert stats.counters["reduce_batch_calls"] == 1
-        assert "reduce_calls" not in stats.counters
-        assert output == {0: 0 + 3 + 6 + 9, 1: 1 + 4 + 7 + 10, 2: 2 + 5 + 8 + 11}
-
-    def test_reduce_batch_disabled_uses_per_key_hook(self):
-        runtime = small_runtime(enable_batch=False)
-        job = MapReduceJob(
-            name="j", mapper=Mapper(), reducer=RecordingBatchReducer()
-        )
-        output = dict(runtime.run(job, SPLITS))
-        stats = runtime.metrics.jobs[0]
-        assert stats.counters["reduce_calls"] == 3
-        assert "reduce_batch_calls" not in stats.counters
-        assert output[0] == 18
+        output = runtime.run(job, SPLITS)
+        assert output == [(k, v * 2) for k, v in RECORDS]
+        assert runtime.metrics.jobs[0].counters["map_calls"] == len(RECORDS)
 
     def test_batch_preserves_sorted_reduce_order(self):
-        batched = small_runtime(enable_batch=True)
-        plain = small_runtime(enable_batch=False)
-        job_b = MapReduceJob(name="j", mapper=Mapper(), reducer=RecordingBatchReducer())
-        job_p = MapReduceJob(name="j", mapper=Mapper(), reducer=RecordingBatchReducer())
-        assert batched.run(job_b, SPLITS) == plain.run(job_p, SPLITS)
+        runtime = small_runtime()
+        job = MapReduceJob(name="j", mapper=Mapper(), reducer=RecordingReducer())
+        output = runtime.run(job, SPLITS)
+        assert output == [(0, 0 + 3 + 6 + 9), (1, 1 + 4 + 7 + 10), (2, 2 + 5 + 8 + 11)]
+        assert runtime.metrics.jobs[0].counters["reduce_calls"] == 3
 
 
 class TestShufflePartitioning:
@@ -136,38 +92,6 @@ class TestShufflePartitioning:
         cache = _PartitionCache(5)
         for key in ["a", "b", "a", 3, (1, 2), "a"]:
             assert cache(key) == _hash_partition(key, 5)
-
-
-class TestSparkBatchDispatch:
-    def test_map_batch_fn_called_once_per_partition(self):
-        calls = []
-
-        def batch_fn(items):
-            calls.append(len(items))
-            return [item + 1 for item in items]
-
-        sc = SparkContext(cluster=ClusterSpec(num_nodes=1, cores_per_node=4))
-        rdd = sc.parallelize(range(20), num_partitions=4).map(
-            lambda item: item + 1, batch_fn=batch_fn
-        )
-        assert sorted(rdd.collect()) == list(range(1, 21))
-        assert calls == [5, 5, 5, 5]
-
-    def test_disabled_batching_uses_per_record_fn(self):
-        calls = []
-
-        def batch_fn(items):  # pragma: no cover - must not run
-            calls.append(len(items))
-            return items
-
-        sc = SparkContext(
-            cluster=ClusterSpec(num_nodes=1, cores_per_node=4), enable_batch=False
-        )
-        rdd = sc.parallelize(range(8), num_partitions=2).map(
-            lambda item: item * 3, batch_fn=batch_fn
-        )
-        assert sorted(rdd.collect()) == [i * 3 for i in range(8)]
-        assert calls == []
 
 
 class TestStackBlocks:

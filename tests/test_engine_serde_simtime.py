@@ -68,51 +68,6 @@ class TestSizeof:
         assert sizeof(matrix) == matrix.indptr.nbytes + 8
 
 
-class TestSizeofMemoization:
-    def test_repeat_measurement_hits_cache(self):
-        from repro.engine.serde import clear_sizeof_cache, sizeof_cache_entries
-
-        clear_sizeof_cache()
-        array = np.ones((16, 16))
-        first = sizeof(array)
-        assert sizeof_cache_entries() == 1
-        assert sizeof(array) == first
-        assert sizeof_cache_entries() == 1
-
-    def test_distinct_objects_get_distinct_entries(self):
-        from repro.engine.serde import clear_sizeof_cache, sizeof_cache_entries
-
-        clear_sizeof_cache()
-        a, b = np.zeros(4), np.zeros(4)
-        sizeof(a)
-        sizeof(b)
-        assert sizeof_cache_entries() == 2
-
-    def test_entry_evicted_when_object_collected(self):
-        import gc
-
-        from repro.engine.serde import clear_sizeof_cache, sizeof_cache_entries
-
-        clear_sizeof_cache()
-        array = np.zeros(128)
-        sizeof(array)
-        assert sizeof_cache_entries() == 1
-        del array
-        gc.collect()
-        # The weakref death callback must have dropped the entry, so a new
-        # object recycling the id() can never alias the stale size.
-        assert sizeof_cache_entries() == 0
-
-    def test_sparse_values_are_memoized_too(self):
-        from repro.engine.serde import clear_sizeof_cache, sizeof_cache_entries
-
-        clear_sizeof_cache()
-        matrix = sp.random(30, 30, density=0.2, random_state=3, format="csr")
-        first = sizeof(matrix)
-        assert sizeof(matrix) == first
-        assert sizeof_cache_entries() == 1
-
-
 class TestScheduleMakespan:
     def test_single_slot_is_sum(self):
         assert schedule_makespan([1.0, 2.0, 3.0], 1) == pytest.approx(6.0)

@@ -1,25 +1,21 @@
-"""Shared-memory lifetime on exception paths, and sizeof-memo hygiene.
+"""Shared-memory lifetime on exception paths.
 
 The leak contract: after any failure -- a worker dying mid-task, a task
 raising, an attach to a vanished segment, a fill error during ``share_array``
 -- executor shutdown leaves zero live segments and no orphaned ``/dev/shm``
-files.  Plus the stale-id regression for the identity-keyed ``sizeof`` memo
-and its clear-on-commit in the shm batch path.
+files.
 """
 
 from __future__ import annotations
 
 import os
-import weakref
 
 import numpy as np
 import pytest
 from concurrent.futures.process import BrokenProcessPool
 
-from repro.engine import serde
 from repro.engine.exec.processes import ProcessPoolTaskExecutor
 from repro.engine.exec.shm import ShmBlockRegistry, _ATTACHED, _attach
-from repro.engine.serde import clear_sizeof_cache, sizeof, sizeof_cache_entries
 
 
 def _shm_names() -> set[str]:
@@ -101,57 +97,3 @@ class TestExecutorFailureLeaks:
         executor.shutdown()
         assert executor.registry.active_segments() == []
         assert _shm_names() - before == set()
-
-
-class TestSizeofMemoStaleId:
-    def test_recycled_id_cannot_alias_a_dead_entry(self):
-        # Simulate the hazard: an entry whose weakref died still sits in the
-        # memo under an id() the allocator has since recycled for a new,
-        # differently-sized array.  The identity check must reject the hit.
-        clear_sizeof_cache()
-        array = np.ones((8, 8))
-        victim = np.ones((2,))
-        stale_ref = weakref.ref(victim)
-        del victim
-        assert stale_ref() is None
-        bogus_size = 3
-        serde._memo[id(array)] = (stale_ref, bogus_size)
-        assert sizeof(array) == array.nbytes + serde._CONTAINER_OVERHEAD
-        clear_sizeof_cache()
-
-    def test_weakref_death_evicts_the_entry(self):
-        clear_sizeof_cache()
-        array = np.ones((4, 4))
-        sizeof(array)
-        assert sizeof_cache_entries() == 1
-        del array
-        import gc
-
-        gc.collect()
-        assert sizeof_cache_entries() == 0
-
-    def test_shm_batch_clears_memo_on_commit(self):
-        clear_sizeof_cache()
-        executor = ProcessPoolTaskExecutor(workers=2, shm_threshold=0)
-        try:
-            big = np.ones((64, 64))
-            sizeof(big)  # seed the memo
-            assert sizeof_cache_entries() >= 1
-            executor.run_tasks(_ok, [big])
-            # The batch rode shared memory -> memo cleared at commit.
-            assert sizeof_cache_entries() == 0
-        finally:
-            executor.shutdown()
-
-    def test_pickle_only_batch_keeps_memo(self):
-        clear_sizeof_cache()
-        # Threshold high enough that nothing rides shared memory.
-        executor = ProcessPoolTaskExecutor(workers=2, shm_threshold=1 << 30)
-        try:
-            array = np.ones((8, 8))
-            sizeof(array)
-            assert sizeof_cache_entries() == 1
-            executor.run_tasks(_ok, [np.ones((4, 4))])
-            assert sizeof_cache_entries() == 1
-        finally:
-            executor.shutdown()

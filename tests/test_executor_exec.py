@@ -3,8 +3,8 @@
 The equivalence *property* (serial == threads == processes through a full
 engine run) lives in ``tests/test_executor_equivalence.py``; this module
 tests the layer's own contracts -- index ordering, exception selection,
-shared-memory round-trips and leak-freedom, sizeof-cache hygiene, and the
-``plan_task`` RNG-stream fidelity the concurrent drivers rely on.
+shared-memory round-trips and leak-freedom, and the ``plan_task`` RNG-stream
+fidelity the concurrent drivers rely on.
 """
 
 import gc
@@ -27,7 +27,6 @@ from repro.engine.exec import (
     make_executor,
     resolve_executor,
 )
-from repro.engine.serde import sizeof, sizeof_cache_entries
 from repro.errors import InvalidPlanError
 from repro.faults import FaultSite, PlannedFaults, RandomFaults
 from repro.faults.plan import FaultPlan, KillTask, Straggler
@@ -253,14 +252,6 @@ class TestSharedMemory:
         assert ex.registry.active_segments() != []  # payloads still alive
         ex.shutdown()
         assert ex.registry.active_segments() == []
-
-    def test_shutdown_clears_sizeof_cache(self):
-        with ThreadPoolTaskExecutor(2) as ex:
-            probe = np.ones(128)
-            sizeof(probe)
-            assert sizeof_cache_entries() > 0
-        del ex
-        assert sizeof_cache_entries() == 0
 
 
 class TestPlanTask:

@@ -20,11 +20,10 @@ def dense_block(block):
 
 
 def run_mapper(mapper, records, config):
+    """One map task as the runtime runs it: setup, map_batch, cleanup."""
     ctx = TaskContext("test", 0, dict(config))
     mapper.setup(ctx)
-    out = []
-    for key, value in records:
-        out.extend(mapper.map(key, value, ctx))
+    out = list(mapper.map_batch(records, ctx))
     out.extend(mapper.cleanup(ctx))
     return dict(out), ctx
 

@@ -12,11 +12,19 @@ from repro.engine.spark.context import SparkContext
 from repro.faults import PlannedFaults
 from repro.faults.plan import ExecutorLoss, FaultPlan
 from repro.lint.racecheck import (
+    POLICY_IDEMPOTENT,
     RaceChecker,
     RaceCheckExecutor,
     RaceRecorder,
     run_spca_racecheck,
 )
+
+
+def _idempotent_cache_recorder():
+    """A recorder watching an identity-keyed cache under the idempotent policy."""
+    recorder = RaceRecorder()
+    recorder.policies["size_cache"] = POLICY_IDEMPOTENT
+    return recorder
 
 
 def _small_fit_data():
@@ -71,34 +79,34 @@ class TestRecorderAnalysis:
     def test_epochs_order_accesses(self):
         # Same key, two different epochs: the join/dispatch barrier between
         # them orders the accesses, so no race.
-        recorder = RaceRecorder()
+        recorder = _idempotent_cache_recorder()
         recorder.begin_epoch("stage1")
         recorder.enter_task(0)
-        recorder.record("sizeof_memo", 42, "write", 100)
+        recorder.record("size_cache", 42, "write", 100)
         recorder.exit_task()
         recorder.begin_epoch("stage2")
         recorder.enter_task(1)
-        recorder.record("sizeof_memo", 42, "write", 200)
+        recorder.record("size_cache", 42, "write", 200)
         recorder.exit_task()
         assert recorder.conflicts() == []
 
     def test_idempotent_policy_allows_agreeing_writes(self):
-        recorder = RaceRecorder()
+        recorder = _idempotent_cache_recorder()
         recorder.begin_epoch("stage")
         for task in range(3):
             recorder.enter_task(task)
-            recorder.record("sizeof_memo", 42, "write", 100)
+            recorder.record("size_cache", 42, "write", 100)
             recorder.exit_task()
         assert recorder.conflicts() == []
 
     def test_idempotent_policy_flags_disagreeing_writes(self):
-        recorder = RaceRecorder()
+        recorder = _idempotent_cache_recorder()
         recorder.begin_epoch("stage")
         recorder.enter_task(0)
-        recorder.record("sizeof_memo", 42, "write", 100)
+        recorder.record("size_cache", 42, "write", 100)
         recorder.exit_task()
         recorder.enter_task(1)
-        recorder.record("sizeof_memo", 42, "write", 999)
+        recorder.record("size_cache", 42, "write", 999)
         recorder.exit_task()
         conflicts = recorder.conflicts()
         assert [c.kind for c in conflicts] == ["conflicting-write"]
@@ -166,7 +174,6 @@ class TestRaceCheckerHarness:
             ctx.executor.shutdown()
 
     def test_instrumentation_is_restored_on_exit(self):
-        from repro.engine import serde
         from repro.engine.spark.memory import BlockManager
 
         original_put = BlockManager.put
@@ -177,7 +184,6 @@ class TestRaceCheckerHarness:
                 assert isinstance(ctx.executor, RaceCheckExecutor)
             assert BlockManager.put is original_put
             assert not isinstance(ctx.executor, RaceCheckExecutor)
-            assert serde._memo_observer is None
             assert type(ctx._lost_blocks) is set
         finally:
             ctx.executor.shutdown()

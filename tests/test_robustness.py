@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.backends import SequentialBackend
+from repro.backends import MapReduceBackend, SequentialBackend, SparkBackend
 from repro.core import SPCA, SPCAConfig, fit_ppca
-from repro.errors import ShapeError
+from repro.core.checkpoint import HDFSCheckpointStore
+from repro.engine.mapreduce.hdfs import InMemoryHDFS
+from repro.errors import DataError, ShapeError
 from repro.metrics import subspace_angle_degrees
 
 
@@ -136,3 +138,41 @@ class TestSparseFormatTolerance:
 
         np.testing.assert_allclose(from_coo.components, from_csr.components, atol=1e-9)
         np.testing.assert_allclose(from_csc.components, from_csr.components, atol=1e-9)
+
+
+class TestNonFiniteInput:
+    ENGINES = {
+        "sequential": SequentialBackend,
+        "mapreduce": MapReduceBackend,
+        "spark": SparkBackend,
+    }
+    CONFIG = SPCAConfig(n_components=2, max_iterations=3, seed=25)
+
+    @staticmethod
+    def poisoned(fmt, bad_value):
+        rng = np.random.default_rng(26)
+        data = rng.normal(size=(40, 9))
+        data[7, 3] = bad_value
+        return sp.csr_matrix(data) if fmt == "csr" else data
+
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("fmt", ["dense", "csr"])
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_fit_names_the_entry(self, engine, fmt, bad_value):
+        backend = self.ENGINES[engine](self.CONFIG)
+        with pytest.raises(DataError, match=r"row 7, column 3"):
+            SPCA(self.CONFIG, backend).fit(self.poisoned(fmt, bad_value))
+
+    def test_resume_checks_too(self):
+        store = HDFSCheckpointStore(InMemoryHDFS(), "/ckpt")
+        clean = self.poisoned("dense", 0.0)
+        SPCA(self.CONFIG).fit(clean, checkpoint=store)
+        with pytest.raises(DataError, match=r"row 7, column 3"):
+            SPCA(self.CONFIG).resume(self.poisoned("dense", -np.inf), store)
+
+    def test_overflowing_sum_of_finite_entries_passes(self):
+        from repro.core.spca import _check_finite
+
+        huge = np.full((4, 3), np.finfo(np.float64).max)
+        _check_finite(huge)
+        _check_finite(sp.csr_matrix(huge))
