@@ -12,6 +12,7 @@ from repro.core.config import SPCAConfig
 from repro.engine.mapreduce.api import MapReduceJob
 from repro.engine.mapreduce.runtime import MapReduceRuntime, ResidentDataset
 from repro.jobs import mapreduce_jobs as mr
+from repro.linalg import small
 from repro.linalg.blocks import Matrix, partition_rows
 
 
@@ -182,7 +183,7 @@ class MapReduceBackend(Backend):
         return float(output[mr.KEY_SS3])
 
     def reconstruction_error(self, dataset, mean, components, sample_fraction, rng) -> float:
-        ls_projector = components @ np.linalg.inv(components.T @ components)
+        ls_projector = small.ls_projector(components)
         job = MapReduceJob(
             name="errorJob",
             mapper=mr.ErrorMapper(),

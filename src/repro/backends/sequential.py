@@ -7,6 +7,7 @@ import numpy as np
 from repro.backends.base import Backend
 from repro.core.config import SPCAConfig
 from repro.jobs import kernels
+from repro.linalg import small
 from repro.linalg.blocks import Matrix, RowBlock, partition_rows
 from repro.linalg.stats import sample_rows
 
@@ -74,7 +75,7 @@ class SequentialBackend(Backend):
         return total
 
     def reconstruction_error(self, dataset, mean, components, sample_fraction, rng) -> float:
-        ls_projector = components @ np.linalg.inv(components.T @ components)
+        ls_projector = small.ls_projector(components)
         residual = np.zeros(mean.shape[0])
         magnitude = np.zeros(mean.shape[0])
         mean_prop = self.config.use_mean_propagation

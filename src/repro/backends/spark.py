@@ -20,6 +20,7 @@ from repro.core.config import SPCAConfig
 from repro.engine.serde import sizeof
 from repro.engine.spark.context import Broadcast, SparkContext
 from repro.jobs import kernels
+from repro.linalg import small
 from repro.linalg.blocks import Matrix, partition_rows
 from repro.linalg.stats import sample_rows
 
@@ -190,7 +191,7 @@ class SparkBackend(Backend):
         sample_fraction: float,
         rng,
     ) -> float:
-        ls_projector = components @ np.linalg.inv(components.T @ components)
+        ls_projector = small.ls_projector(components)
         bc_components = self.context.broadcast(components)
         bc_ls_projector = self.context.broadcast(ls_projector)
         bc_mean = self.context.broadcast(mean)

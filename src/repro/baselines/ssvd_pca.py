@@ -29,6 +29,7 @@ from repro.engine.metrics import JobStats
 from repro.errors import ShapeError
 from repro.jobs import mapreduce_jobs as mr
 from repro.jobs import ssvd_jobs
+from repro.linalg import small
 from repro.linalg.blocks import Matrix, partition_rows
 from repro.obs import EventTrace, record_job_stats
 
@@ -259,7 +260,7 @@ class SSVDPCAMapReduce:
     def _error_job(self, splits, components, mean) -> float:
         if mean is None:
             mean = np.zeros(components.shape[0])
-        ls_projector = components @ np.linalg.inv(components.T @ components)
+        ls_projector = small.ls_projector(components)
         job = MapReduceJob(
             name="errorJob",
             mapper=mr.ErrorMapper(),

@@ -9,6 +9,7 @@ import numpy as np
 from repro.errors import ShapeError
 from repro.linalg.blocks import Matrix
 from repro.linalg.centered import centered_times
+from repro.linalg.small import ls_projector, moment_inverse, ppca_log_density
 
 
 @dataclass
@@ -67,37 +68,34 @@ class PCAModel:
     def posterior_projector(self) -> np.ndarray:
         """Cached ``D x d`` posterior-mean projector ``C * M^-1``.
 
-        ``M = C'C + ss*I`` is solved rather than inverted; when the moment
-        matrix is singular (``noise_variance == 0`` on rank-deficient
-        components, the zero-variance-data collapse) the pseudo-inverse
-        takes over, matching :meth:`project`.  Computed once per model --
-        the serving hot path calls :meth:`transform` per request and must
-        not re-factorize a ``d x d`` system every time.  Like ``_basis``
-        the cache assumes the fitted arrays are never mutated in place.
+        ``M = C'C + ss*I`` is inverted by :func:`repro.linalg.small.moment_inverse`,
+        the same guarded inverse the fit's E-step uses: when the moment is
+        singular (``noise_variance == 0`` on rank-deficient components, the
+        zero-variance-data collapse) the pseudo-inverse takes over, matching
+        :meth:`project`.  Computed once per model -- the serving hot path
+        calls :meth:`transform` per request and must not re-invert a
+        ``d x d`` moment every time.  Like ``_basis`` the cache assumes the
+        fitted arrays are never mutated in place.
         """
         if self._posterior_projector is None:
-            moment = self.components.T @ self.components + (
-                self.noise_variance * np.eye(self.n_components)
+            self._posterior_projector = np.ascontiguousarray(
+                self.components @ moment_inverse(self.components, self.noise_variance)
             )
-            try:
-                projector = np.linalg.solve(moment, self.components.T).T
-            except np.linalg.LinAlgError:
-                projector = self.components @ np.linalg.pinv(moment)
-            self._posterior_projector = np.ascontiguousarray(projector)
         return self._posterior_projector
 
     @property
     def subspace_projector(self) -> np.ndarray:
-        """Cached ``D x d`` least-squares projector ``C * (C'C)^+``.
+        """Cached ``D x d`` least-squares projector ``C * (C'C)^-1``.
 
-        Pseudo-inverse throughout: degenerate models (zero-variance data
-        collapse C to rank-deficiency) still project cleanly onto what is
-        spanned.
+        Built by :func:`repro.linalg.small.ls_projector`, the projector the
+        fit's error job uses.  Its guarded inverse falls back to the
+        pseudo-inverse past a fixed condition threshold, so degenerate
+        models (zero-variance data collapse C to rank-deficiency) still
+        project cleanly onto what is spanned.
         """
         if self._subspace_projector is None:
-            gram = self.components.T @ self.components
             self._subspace_projector = np.ascontiguousarray(
-                self.components @ np.linalg.pinv(gram)
+                ls_projector(self.components)
             )
         return self._subspace_projector
 
@@ -149,27 +147,18 @@ class PCAModel:
         Evaluates ``sum_n log N(y_n; mean, C C' + ss I)`` using the Woodbury
         identity, so only d x d systems are solved even for large D.
         """
-        n_rows, n_cols = data.shape
+        n_cols = data.shape[1]
         if n_cols != self.n_features:
             raise ShapeError(
                 f"data has {n_cols} columns but the model has {self.n_features} features"
             )
-        d = self.n_components
-        noise = max(self.noise_variance, 1e-300)
-        moment = self.components.T @ self.components + noise * np.eye(d)
-        moment_inv = np.linalg.inv(moment)
-        # (CC' + ss I)^-1 = (I - C M^-1 C') / ss ;  |CC' + ss I| = ss^(D-d) |M|
-        centered_sq_norms = self._centered_square_norms(data)
-        projected = centered_times(data, self.mean, self.components)
-        mahalanobis = (
-            centered_sq_norms
-            - np.einsum("ij,jl,il->i", projected, moment_inv, projected)
-        ) / noise
-        sign, logdet_m = np.linalg.slogdet(moment / noise)
-        log_det = n_cols * np.log(noise) + sign * logdet_m
-        return float(
-            -0.5 * np.sum(n_cols * np.log(2.0 * np.pi) + log_det + mahalanobis)
+        log_density = ppca_log_density(
+            self._centered_square_norms(data),
+            centered_times(data, self.mean, self.components),
+            self.components,
+            max(self.noise_variance, 1e-300),
         )
+        return float(np.sum(log_density))
 
     def _centered_square_norms(self, data: Matrix) -> np.ndarray:
         """Per-row ||y - mean||^2 without densifying sparse input."""

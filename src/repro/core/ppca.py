@@ -21,6 +21,7 @@ from repro.core.initialization import random_initialization
 from repro.core.model import PCAModel
 from repro.errors import ShapeError
 from repro.linalg.blocks import Matrix, is_sparse
+from repro.linalg.small import check_em_state, inverse, moment_inverse
 from repro.linalg.stats import column_means
 from repro.obs import get_tracer
 from repro.obs.metrics import get_registry
@@ -67,7 +68,6 @@ def fit_ppca(
         components = np.asarray(components, dtype=np.float64).copy()
 
     frobenius = float(np.sum(centered * centered))
-    identity = np.eye(n_components)
     tracer = get_tracer()
     with tracer.span(
         "run",
@@ -77,7 +77,7 @@ def fit_ppca(
         n_components=n_components,
     ):
         components, noise_variance = _em_loop(
-            centered, components, noise_variance, frobenius, identity,
+            centered, components, noise_variance, frobenius,
             n_samples, n_features, max_iterations, tolerance, tracer,
         )
 
@@ -94,7 +94,6 @@ def _em_loop(
     components: np.ndarray,
     noise_variance: float,
     frobenius: float,
-    identity: np.ndarray,
     n_samples: int,
     n_features: int,
     max_iterations: int,
@@ -106,16 +105,16 @@ def _em_loop(
         with tracer.span(
             "iteration", f"ppca.iteration[{iteration}]", index=iteration
         ) as iter_span:
-            moment = components.T @ components + noise_variance * identity
-            moment_inv = np.linalg.inv(moment)
+            moment_inv = moment_inverse(components, noise_variance)
             latent = centered @ components @ moment_inv
             latent_gram = latent.T @ latent + n_samples * noise_variance * moment_inv
             cross = centered.T @ latent
-            components = cross @ np.linalg.inv(latent_gram)
+            components = cross @ inverse(latent_gram)
             ss2 = float(np.trace(latent_gram @ components.T @ components))
             ss3 = float(np.sum((centered @ components) * latent))
             noise_variance = (frobenius + ss2 - 2.0 * ss3) / (n_samples * n_features)
             noise_variance = max(noise_variance, 1e-12)
+            check_em_state(iteration, components, noise_variance)
             if tracer.enabled:
                 iter_span.set(
                     objective=noise_variance,

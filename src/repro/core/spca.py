@@ -16,7 +16,6 @@ from dataclasses import asdict
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.core.config import SPCAConfig, stored_config
 
@@ -31,48 +30,12 @@ from repro.core.convergence import ConvergenceTracker, IterationStats, TrainingH
 from repro.core.initialization import random_initialization, smart_guess_initialization
 from repro.core.model import PCAModel
 from repro.core.ppca import fit_ppca
-from repro.errors import CheckpointError, ConfigError, DataError, ShapeError
+from repro.errors import CheckpointError, ConfigError, ShapeError
 from repro.linalg.blocks import Matrix
+from repro.linalg.small import check_em_state, inverse, moment_inverse
+from repro.linalg.stats import check_finite
 from repro.obs import get_tracer
 from repro.obs.metrics import get_registry
-
-
-def _check_finite(data: Matrix) -> None:
-    """Raise :class:`DataError` at the first NaN or inf entry of *data*.
-
-    The common case is one reduction over the stored values (``data.data``
-    for sparse input) with no N x D temporary; entries are scanned only when
-    that total is not finite, so a sum that overflows over finite entries
-    passes.
-    """
-    if sp.issparse(data):
-        data = data.tocsr()
-        values = data.data
-    else:
-        values = np.asarray(data)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.isfinite(values.sum()):
-            return
-    if sp.issparse(data):
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            index = int(bad[0])
-            row = int(np.searchsorted(data.indptr, index, side="right")) - 1
-            _raise_non_finite(values[index], row, int(data.indices[index]))
-        return
-    rows_per_chunk = max(1, 2**20 // max(1, values.shape[1]))
-    for start in range(0, values.shape[0], rows_per_chunk):
-        bad = np.argwhere(~np.isfinite(values[start:start + rows_per_chunk]))
-        if bad.size:
-            row, col = (int(i) for i in bad[0])
-            _raise_non_finite(values[start + row, col], start + row, col)
-
-
-def _raise_non_finite(value, row: int, col: int) -> None:
-    raise DataError(
-        f"input holds a non-finite value ({value}) at row {row}, column {col}; "
-        "remove or impute it before fitting"
-    )
 
 
 class SPCA:
@@ -120,7 +83,7 @@ class SPCA:
         config = self.config
         n_samples, n_features = data.shape
         self._validate_shape(n_samples, n_features)
-        _check_finite(data)
+        check_finite(data)
         tracer = get_tracer()
         with tracer.span(
             "run",
@@ -172,7 +135,7 @@ class SPCA:
             )
         n_samples, n_features = data.shape
         self._validate_shape(n_samples, n_features)
-        _check_finite(data)
+        check_finite(data)
         checkpoint = (
             CheckpointPolicy(store, checkpoint_every)
             if checkpoint_every is not None
@@ -265,7 +228,6 @@ class SPCA:
             start_iteration = resume_from.iteration + 1
             previous_ss = noise_variance
 
-        identity = np.eye(config.n_components)
         # Cumulative sim seconds at the previous iteration's close; the
         # per-iteration histogram records successive differences.
         previous_sim = 0.0
@@ -273,8 +235,7 @@ class SPCA:
             with tracer.span(
                 "iteration", f"iteration[{iteration}]", index=iteration
             ) as iter_span:
-                moment = components.T @ components + noise_variance * identity
-                moment_inv = np.linalg.inv(moment)
+                moment_inv = moment_inverse(components, noise_variance)
                 projector = components @ moment_inv           # CM = C * M^-1
                 latent_mean = mean @ projector                # Xm = Ym * CM
                 previous_components = components
@@ -289,7 +250,7 @@ class SPCA:
                     _, xtx = self.backend.ytx_xtx(dataset, mean, projector, latent_mean)
                     ytx, _ = self.backend.ytx_xtx(dataset, mean, projector, latent_mean)
                 xtx = xtx + n_samples * noise_variance * moment_inv
-                components = ytx @ np.linalg.inv(xtx)         # C = YtX / XtX
+                components = ytx @ inverse(xtx)               # C = YtX / XtX
                 ss2 = float(np.trace(xtx @ components.T @ components))
                 ss3 = self.backend.ss3(
                     dataset, mean, projector, latent_mean, components
@@ -297,6 +258,7 @@ class SPCA:
                 noise_variance = max(
                     (ss1 + ss2 - 2.0 * ss3) / (n_samples * n_features), 1e-12
                 )
+                check_em_state(iteration, components, noise_variance)
 
                 error = None
                 if config.compute_error_every_iteration:

@@ -44,6 +44,7 @@ from repro.errors import ShapeError
 from repro.linalg.blocks import Matrix
 from repro.linalg.centered import centered_times, centered_transpose_times
 from repro.linalg.frobenius import frobenius_sparse
+from repro.linalg.small import check_em_state, inverse, moment_inverse
 from repro.linalg.stats import column_means
 
 RESIDUAL_MODES = ("auto", "dense", "trace")
@@ -195,9 +196,7 @@ def sem_batch_statistics(
         mean = (state.rows_seen * mean + size * batch_mean) / (state.rows_seen + size)
 
     components = state.components
-    ss = state.noise_variance
-    moment = components.T @ components + ss * np.eye(state.n_components)
-    moment_inv = np.linalg.inv(moment)
+    moment_inv = moment_inverse(components, state.noise_variance)
     latent = centered_times(batch, mean, components @ moment_inv)
     batch_yx = centered_transpose_times(batch, mean, latent) / size
     latent_gram = latent.T @ latent
@@ -255,7 +254,7 @@ def sem_blend(state: SEMState, stats: SEMBatchStats, *, step_decay: float) -> SE
         if state.moment_xx is None
         else (1 - eta) * state.moment_xx + eta * batch_xx
     )
-    components = moment_yx @ np.linalg.inv(moment_xx)
+    components = moment_yx @ inverse(moment_xx)
 
     n_cols = components.shape[0]
     if stats.residual is not None and stats.latent is not None:
@@ -284,6 +283,7 @@ def sem_blend(state: SEMState, stats: SEMBatchStats, *, step_decay: float) -> SE
         )
         batch_ss = (stats.ss1 + ss2 - 2 * ss3) / (size * n_cols)
     noise_variance = max((1 - eta) * state.noise_variance + eta * batch_ss, 1e-12)
+    check_em_state(state.step_index + 1, components, noise_variance)
     return replace(
         state,
         components=components,

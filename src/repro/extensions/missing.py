@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.core.model import PCAModel
 from repro.errors import ConvergenceError, ShapeError
+from repro.linalg.small import moment_inverse
 
 
 @dataclass
@@ -79,8 +80,7 @@ class MissingValuePPCA:
             for i in range(n_rows):
                 obs = observed[i]
                 c_obs = components[obs]
-                moment = c_obs.T @ c_obs + ss * identity
-                moment_inv = np.linalg.inv(moment)
+                moment_inv = moment_inverse(c_obs, ss)
                 latent[i] = moment_inv @ (c_obs.T @ centered[i, obs])
                 second_moments[i] = ss * moment_inv + np.outer(latent[i], latent[i])
 

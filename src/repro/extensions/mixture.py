@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ConvergenceError, ShapeError
+from repro.linalg.small import inverse, moment_inverse, ppca_log_density
 
 
 @dataclass
@@ -92,32 +93,20 @@ class MixtureOfPPCA:
             raise ConvergenceError("fit must be called first")
 
     def _log_responsibilities(self, data: np.ndarray) -> np.ndarray:
-        n_rows, n_cols = data.shape
-        d = self.n_components
-        out = np.empty((n_rows, self.n_clusters))
+        out = np.empty((data.shape[0], self.n_clusters))
         for k in range(self.n_clusters):
             loadings = self.loadings_[k]
-            noise = self.noise_[k]
             centered = data - self.means_[k]
-            moment = loadings.T @ loadings + noise * np.eye(d)
-            moment_inv = np.linalg.inv(moment)
-            # Woodbury: (CC' + ss I)^-1 = (I - C M^-1 C') / ss
-            projected = centered @ loadings
-            mahalanobis = (
-                np.einsum("ij,ij->i", centered, centered)
-                - np.einsum("ij,jl,il->i", projected, moment_inv, projected)
-            ) / noise
-            sign, logdet_m = np.linalg.slogdet(moment / noise)
-            log_det = n_cols * np.log(noise) + sign * logdet_m
-            out[:, k] = (
-                np.log(self.weights_[k] + 1e-300)
-                - 0.5 * (n_cols * np.log(2.0 * np.pi) + log_det + mahalanobis)
+            out[:, k] = np.log(self.weights_[k] + 1e-300) + ppca_log_density(
+                np.einsum("ij,ij->i", centered, centered),
+                centered @ loadings,
+                loadings,
+                self.noise_[k],
             )
         return out
 
     def _m_step(self, data: np.ndarray, responsibilities: np.ndarray) -> None:
         n_rows, n_cols = data.shape
-        d = self.n_components
         for k in range(self.n_clusters):
             weights = responsibilities[:, k]
             total = max(weights.sum(), 1e-12)
@@ -129,13 +118,13 @@ class MixtureOfPPCA:
             # One EM sub-step on the weighted local PPCA.
             loadings = self.loadings_[k]
             noise = self.noise_[k]
-            moment_inv = np.linalg.inv(loadings.T @ loadings + noise * np.eye(d))
+            moment_inv = moment_inverse(loadings, noise)
             latent = centered @ loadings @ moment_inv
             weighted_latent_gram = (
                 (weights[:, None] * latent).T @ latent + total * noise * moment_inv
             )
             cross = (weights[:, None] * centered).T @ latent
-            new_loadings = cross @ np.linalg.inv(weighted_latent_gram)
+            new_loadings = cross @ inverse(weighted_latent_gram)
             ss2 = float(np.trace(weighted_latent_gram @ new_loadings.T @ new_loadings))
             ss3 = float(np.sum(weights[:, None] * (centered @ new_loadings) * latent))
             ss1 = float(np.sum(weights[:, None] * centered * centered))

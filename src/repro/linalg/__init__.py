@@ -13,7 +13,11 @@ Section 3 of the paper optimizes:
   accumulation, and the associativity trick of Equation 3).
 - :mod:`repro.linalg.frobenius` -- Algorithms 2 and 3 for the Frobenius norm
   of the centered matrix (Section 3.4).
-- :mod:`repro.linalg.stats` -- column means/sums and row sampling.
+- :mod:`repro.linalg.stats` -- column means/sums, row sampling and the
+  input finiteness check.
+- :mod:`repro.linalg.small` -- the driver-side ``d x d`` algebra: the one
+  guarded inverse behind every moment inverse, least-squares projector and
+  PPCA log-density, plus the per-step EM finite-state check.
 """
 
 from repro.linalg.blocks import RowBlock, block_nbytes, iter_blocks, partition_rows, stack_blocks

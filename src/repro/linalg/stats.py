@@ -1,11 +1,11 @@
-"""Column statistics and row sampling helpers."""
+"""Column statistics, row sampling and the input finiteness check."""
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.errors import ShapeError
+from repro.errors import DataError, ShapeError
 from repro.linalg.blocks import Matrix
 from repro.lint.contracts import contract
 
@@ -53,3 +53,42 @@ def sample_rows(matrix: Matrix, fraction: float, rng: np.random.Generator) -> Ma
     if sp.issparse(matrix):
         return matrix.tocsr()[index]
     return np.asarray(matrix)[index]
+
+
+def check_finite(data: Matrix, row_offset: int = 0) -> None:
+    """Raise :class:`DataError` at the first NaN or inf entry of *data*.
+
+    The common case is one reduction over the stored values (``data.data``
+    for sparse input) with no N x D temporary; entries are scanned only when
+    that total is not finite, so a sum that overflows over finite entries
+    passes.  The reported row is offset by *row_offset*, so a stream chunk
+    names its row in the whole stream.
+    """
+    if sp.issparse(data):
+        data = data.tocsr()
+        values = data.data
+    else:
+        values = np.asarray(data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(values.sum()):
+            return
+    if sp.issparse(data):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            index = int(bad[0])
+            row = int(np.searchsorted(data.indptr, index, side="right")) - 1
+            _raise_non_finite(values[index], row_offset + row, int(data.indices[index]))
+        return
+    rows_per_chunk = max(1, 2**20 // max(1, values.shape[1]))
+    for start in range(0, values.shape[0], rows_per_chunk):
+        bad = np.argwhere(~np.isfinite(values[start:start + rows_per_chunk]))
+        if bad.size:
+            row, col = (int(i) for i in bad[0])
+            _raise_non_finite(values[start + row, col], row_offset + start + row, col)
+
+
+def _raise_non_finite(value, row: int, col: int) -> None:
+    raise DataError(
+        f"input holds a non-finite value ({value}) at row {row}, column {col}; "
+        "remove or impute it before fitting"
+    )

@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ShapeError
+from repro.linalg import small
 from repro.linalg.blocks import Matrix, is_sparse
 from repro.linalg.centered import centered_times
 from repro.linalg.operators import CenteredOperator
@@ -53,7 +54,7 @@ def reconstruction_error(
         if rng is None:
             raise ShapeError("sampling requires an rng")
         rows = sample_rows(data, sample_fraction, rng)
-    ls_projector = components @ np.linalg.inv(components.T @ components)
+    ls_projector = small.ls_projector(components)
     latent = centered_times(rows, mean, ls_projector)
     reconstruction = latent @ components.T + mean
     dense = np.asarray(rows.todense()) if is_sparse(rows) else np.asarray(rows, dtype=np.float64)

@@ -29,6 +29,7 @@ import scipy.sparse as sp
 from repro.errors import ShapeError
 from repro.jobs.kernels import stack_blocks
 from repro.linalg.blocks import Matrix
+from repro.linalg.stats import check_finite
 
 
 @dataclass(frozen=True)
@@ -128,11 +129,18 @@ class Windower:
         return self._next_index
 
     def push(self, chunk: Matrix) -> list[Window]:
-        """Buffer *chunk*; return every window it completes (often none)."""
+        """Buffer *chunk*; return every window it completes (often none).
+
+        Raises:
+            ShapeError: if the chunk's column count is not ``n_cols``.
+            DataError: at the chunk's first NaN or inf, naming its row in
+                the whole stream.
+        """
         if chunk.shape[1] != self.n_cols:
             raise ShapeError(
                 f"chunk has {chunk.shape[1]} columns, expected {self.n_cols}"
             )
+        check_finite(chunk, row_offset=self._consumed + self._buffered)
         if chunk.shape[0]:
             self._pieces.append(chunk)
             self._buffered += chunk.shape[0]
