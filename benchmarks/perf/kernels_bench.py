@@ -5,7 +5,7 @@ Two measurements:
 - **residency**: per-iteration bytes crossing the process-pool pickle pipe,
   worker-resident pinning on vs off -- the paper's intermediate-data
   argument applied to the driver-worker pipe (target: >= 5x fewer).
-- **raw_blas**: the same per-iteration kernel math (YtX/XtX + ss3) on the
+- **raw_blas**: the same per-iteration kernel math (one YtX/XtX) on the
   whole dataset as one block in a single process, against the faster of
   the MapReduce and Spark engine fits at fine record granularity.  That is
   the BLAS floor the simulator's scheduling, serde, and byte accounting sit
@@ -139,12 +139,10 @@ def bench_raw_blas(
     mean = np.asarray(data.mean(axis=0)).ravel()
     projector = rng.normal(size=(data.shape[1], d))
     latent_mean = rng.normal(size=d)
-    components = rng.normal(size=(data.shape[1], d))
 
     def run() -> None:
         for _ in range(max_iterations):
             kernels.block_ytx_xtx(data, mean, projector, latent_mean, True)
-            kernels.block_ss3(data, mean, projector, latent_mean, components, True)
 
     raw_s = best_of(run, repeats)
     fit_s = {

@@ -16,7 +16,6 @@ from repro.linalg import (
     frobenius_simple,
     frobenius_sparse,
 )
-from repro.linalg.multiply import xcy_associative, xcy_block
 
 
 @pytest.fixture(scope="module")
@@ -66,33 +65,3 @@ def test_centered_times_densified(benchmark, block, mean, small):
 
     result = benchmark(densify_and_multiply)
     assert result.shape == (block.shape[0], 10)
-
-
-@pytest.mark.benchmark(group="ss3-associativity")
-def test_xcy_associative_order(benchmark, block, small):
-    rng = np.random.default_rng(1)
-    x_row = rng.normal(size=10)
-    y_row = block[0]
-    result = benchmark(xcy_associative, x_row, small, y_row)
-    assert np.isfinite(result)
-
-
-@pytest.mark.benchmark(group="ss3-associativity")
-def test_xcy_naive_order(benchmark, block, small):
-    rng = np.random.default_rng(1)
-    x_row = rng.normal(size=10)
-    y_dense = np.asarray(block[0].todense()).ravel()
-
-    def naive():
-        return float((x_row @ small.T) @ y_dense)
-
-    result = benchmark(naive)
-    assert np.isfinite(result)
-
-
-@pytest.mark.benchmark(group="ss3-associativity")
-def test_xcy_block_vectorized(benchmark, block, small):
-    rng = np.random.default_rng(2)
-    latent = rng.normal(size=(block.shape[0], 10))
-    result = benchmark(xcy_block, latent, small, block)
-    assert np.isfinite(result)

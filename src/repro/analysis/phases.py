@@ -105,14 +105,8 @@ def phase_breakdown(method: str, n: int, d_cols: int, d: int) -> list[Phase]:
                 big_d * small_d,
             ),
             Phase(
-                "ss3",
-                "scalar variance part via X * (C' * y')",
-                n * big_d * small_d,
-                1.0,
-            ),
-            Phase(
                 "driver-update",
-                "C = YtX / XtX and the ss update, all d x d",
+                "C = YtX / XtX and ss (ss3 = sum(C * YtX)), all on the driver",
                 big_d * small_d**2,
                 0.0,
             ),

@@ -2,8 +2,9 @@
 
 A backend owns the distributed (or local) execution of the handful of jobs
 Algorithm 4 marks in bold: ``meanJob``, ``FnormJob``, the consolidated
-``YtXJob``, ``ss3Job``, and the sampled reconstruction-error job.  Three
-implementations are provided:
+``YtXJob``, and the sampled reconstruction-error job.  Algorithm 4's
+ss3 job is not run: ``Backend.ss3`` takes ss3 from the iteration's YtX
+on the driver.  Three implementations are provided:
 
 - :class:`repro.backends.sequential.SequentialBackend` -- plain NumPy/SciPy,
   the correctness reference and the right choice for data that fits in

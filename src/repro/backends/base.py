@@ -14,6 +14,9 @@ from repro.linalg.blocks import Matrix
 class Backend(abc.ABC):
     """Executes the distributed jobs of Algorithm 4.
 
+    Line 13's ss3 job does not run here: :meth:`ss3` derives ss3 on the
+    driver from the YtX of the same iteration.
+
     The driver first calls :meth:`load` once to distribute the input matrix
     (HDFS splits / a cached RDD); every job method then receives the handle
     that ``load`` returned.  Backends honour the optimization switches in the
@@ -58,16 +61,16 @@ class Backend(abc.ABC):
             (d, d), where ``X = Yc * CM``.
         """
 
-    @abc.abstractmethod
-    def ss3(
-        self,
-        dataset: Any,
-        mean: np.ndarray,
-        projector: np.ndarray,
-        latent_mean: np.ndarray,
-        components: np.ndarray,
-    ) -> float:
-        """ss3Job: ``sum_n X_n * C' * Yc_n'`` (Algorithm 4, line 13)."""
+    def ss3(self, components: np.ndarray, ytx: np.ndarray) -> float:
+        """``ss3 = sum_n X_n * C' * Yc_n'`` (Algorithm 4, line 13), no job.
+
+        The sum equals ``sum_ij C_ij (Yc' X)_ij``, and *ytx* is the
+        ``Yc' X`` the M-step has just consumed, so ss3 costs D*d flops on
+        the driver instead of the paper's ss3 job, a second pass over Y.
+        The driver calls this once per EM iteration, right after the
+        M-step, with the iteration's new components.
+        """
+        return float(np.sum(components * ytx))
 
     @abc.abstractmethod
     def reconstruction_error(

@@ -65,7 +65,6 @@ class MapReduceBackend(Backend):
         self.worker_resident = worker_resident
         self._pinned_keys: list[str] = []
         self._iteration = 0
-        self._materialized_iteration = -1
 
     # -- Backend API -------------------------------------------------------
 
@@ -163,25 +162,6 @@ class MapReduceBackend(Backend):
             ytx = output[mr.KEY_YTX]
         return ytx, output[mr.KEY_XTX]
 
-    def ss3(self, dataset, mean, projector, latent_mean, components) -> float:
-        job_input = dataset
-        if not self.config.use_x_recomputation:
-            job_input = self._materialize_latent(dataset, mean, projector, latent_mean)
-        job = MapReduceJob(
-            name="ss3Job",
-            mapper=mr.SS3Mapper(),
-            reducer=mr.MatrixSumReducer(),
-            config={
-                "mean": mean,
-                "projector": projector,
-                "latent_mean": latent_mean,
-                "components": components,
-                "mean_propagation": self.config.use_mean_propagation,
-            },
-        )
-        output = dict(self.runtime.run(job, job_input))
-        return float(output[mr.KEY_SS3])
-
     def reconstruction_error(self, dataset, mean, components, sample_fraction, rng) -> float:
         ls_projector = small.ls_projector(components)
         job = MapReduceJob(
@@ -208,26 +188,24 @@ class MapReduceBackend(Backend):
         """Run XJob: write X to HDFS as intermediate data, then join it.
 
         This reproduces the naive dataflow of Figure 1 where X is a real
-        intermediate dataset consumed by the downstream jobs: X is written
-        *once* per iteration (by the first consumer that needs it) and then
-        read -- with its full HDFS read charge -- by every consumer.
+        intermediate dataset: XJob writes it, and YtXJob reads it back with
+        its full HDFS read charge.  Figure 1's second reader, the ss3 job,
+        does not run: ss3 comes from YtX on the driver.
         """
         path = f"tmp/X-{self._iteration}"
-        if self._materialized_iteration != self._iteration:
-            job = MapReduceJob(
-                name="XJob",
-                mapper=mr.XMaterializeMapper(),
-                output_path=path,
-                output_is_intermediate=True,
-                config={
-                    "mean": mean,
-                    "projector": projector,
-                    "latent_mean": latent_mean,
-                    "mean_propagation": self.config.use_mean_propagation,
-                },
-            )
-            self.runtime.run(job, dataset)
-            self._materialized_iteration = self._iteration
+        job = MapReduceJob(
+            name="XJob",
+            mapper=mr.XMaterializeMapper(),
+            output_path=path,
+            output_is_intermediate=True,
+            config={
+                "mean": mean,
+                "projector": projector,
+                "latent_mean": latent_mean,
+                "mean_propagation": self.config.use_mean_propagation,
+            },
+        )
+        self.runtime.run(job, dataset)
         latent_by_start = dict(self.runtime.hdfs.read(path))
         return [
             [(start, (block, latent_by_start[start])) for start, block in split]

@@ -23,8 +23,6 @@ class SequentialBackend(Backend):
     def __init__(self, config: SPCAConfig, num_blocks: int = 4):
         super().__init__(config)
         self.num_blocks = num_blocks
-        # Materialized X blocks for the use_x_recomputation=False ablation.
-        self._materialized_latent: list[np.ndarray] | None = None
         self._intermediate_bytes = 0
 
     def load(self, data: Matrix) -> list[RowBlock]:
@@ -48,31 +46,18 @@ class SequentialBackend(Backend):
 
     def ytx_xtx(self, dataset, mean, projector, latent_mean):
         mean_prop = self.config.use_mean_propagation
+        latents = [None] * len(dataset)
         if not self.config.use_x_recomputation:
-            self._materialize_latent(dataset, mean, projector, latent_mean)
+            latents = self._materialize_latent(dataset, mean, projector, latent_mean)
         ytx_total = None
         xtx_total = None
-        for index, block in enumerate(dataset):
-            latent = self._latent_for(index)
+        for block, latent in zip(dataset, latents, strict=True):
             ytx, xtx = kernels.block_ytx_xtx(
                 block.data, mean, projector, latent_mean, mean_prop, latent=latent
             )
             ytx_total = ytx if ytx_total is None else ytx_total + ytx
             xtx_total = xtx if xtx_total is None else xtx_total + xtx
         return ytx_total, xtx_total
-
-    def ss3(self, dataset, mean, projector, latent_mean, components) -> float:
-        mean_prop = self.config.use_mean_propagation
-        total = 0.0
-        for index, block in enumerate(dataset):
-            latent = self._latent_for(index)
-            total += kernels.block_ss3(
-                block.data, mean, projector, latent_mean, components, mean_prop,
-                latent=latent,
-            )
-        # Materialized X is only valid within one iteration.
-        self._materialized_latent = None
-        return total
 
     def reconstruction_error(self, dataset, mean, components, sample_fraction, rng) -> float:
         ls_projector = small.ls_projector(components)
@@ -92,20 +77,15 @@ class SequentialBackend(Backend):
 
     # -- internals -------------------------------------------------------
 
-    def _materialize_latent(self, dataset, mean, projector, latent_mean) -> None:
+    def _materialize_latent(self, dataset, mean, projector, latent_mean) -> list:
+        """The use_x_recomputation=False ablation: X as intermediate data."""
         mean_prop = self.config.use_mean_propagation
-        self._materialized_latent = [
+        latents = [
             kernels.block_latent(block.data, mean, projector, latent_mean, mean_prop)
             for block in dataset
         ]
-        self._intermediate_bytes += sum(
-            latent.nbytes for latent in self._materialized_latent
-        )
-
-    def _latent_for(self, index: int) -> np.ndarray | None:
-        if self._materialized_latent is None:
-            return None
-        return self._materialized_latent[index]
+        self._intermediate_bytes += sum(latent.nbytes for latent in latents)
+        return latents
 
     @property
     def intermediate_bytes(self) -> int:

@@ -140,49 +140,6 @@ class SparkBackend(Backend):
         self.context.driver.transient(sizeof(ytx) + sizeof(xtx_sum.value), "YtX/XtX")
         return ytx, xtx_sum.value
 
-    def ss3(
-        self,
-        rdd,
-        mean: np.ndarray,
-        projector: np.ndarray,
-        latent_mean: np.ndarray,
-        components: np.ndarray,
-    ) -> float:
-        mean_prop = self.config.use_mean_propagation
-        bc_mean = self.context.broadcast(mean)
-        bc_projector = self.context.broadcast(projector)
-        bc_latent_mean = self.context.broadcast(latent_mean)
-        bc_components = self.context.broadcast(components)
-        total = self.context.accumulator(0.0)
-        latent_rdd = self._latent_for(rdd, bc_mean, bc_projector, bc_latent_mean)
-
-        def partial(block, latent):
-            return kernels.block_ss3(
-                block, bc_mean.value, bc_projector.value, bc_latent_mean.value,
-                bc_components.value, mean_prop, latent=latent,
-            )
-
-        def zipped_ss3(partition, latent_partition):
-            total.add(
-                partial(
-                    _stacked(partition),
-                    kernels.stack_latents([x for _, x in latent_partition]),
-                )
-            )
-            return (None,)
-
-        if latent_rdd is not None:
-            zipped = rdd.zip_partitions(latent_rdd, zipped_ss3)
-            self.context.run_job(zipped, list, name="ss3Job")
-        else:
-            def run_ss3(partition):
-                total.add(partial(_stacked(partition), None))
-
-            self.context.run_job(rdd, run_ss3, name="ss3Job")
-        # The per-iteration latent cache is invalid once C changes.
-        self._drop_latent()
-        return float(total.value)
-
     def reconstruction_error(
         self,
         rdd,
@@ -291,7 +248,10 @@ class SparkBackend(Backend):
             # storage between jobs (Section 3.2); charge that round trip --
             # one write plus one read per consuming job -- as an extra
             # stage, so the ablation reflects the real dataflow cost rather
-            # than a free in-memory cache.
+            # than a free in-memory cache.  The charge keeps two reads: in
+            # the paper's Figure 1 dataflow the ss3 job was the second reader.
+            # ss3 now comes from YtX on the driver, but the Table 3 ablation
+            # models the paper's pipeline and stays comparable with it.
             from repro.engine.metrics import JobStats
             from repro.obs import EventTrace, record_job_stats
 

@@ -111,7 +111,8 @@ def _em_loop(
             cross = centered.T @ latent
             components = cross @ inverse(latent_gram)
             ss2 = float(np.trace(latent_gram @ components.T @ components))
-            ss3 = float(np.sum((centered @ components) * latent))
+            # sum_n X_n C' Yc_n' = sum(C * Yc'X): no N x D x d product.
+            ss3 = float(np.sum(components * cross))
             noise_variance = (frobenius + ss2 - 2.0 * ss3) / (n_samples * n_features)
             noise_variance = max(noise_variance, 1e-12)
             check_em_state(iteration, components, noise_variance)

@@ -1,12 +1,15 @@
 """The sPCA driver: Algorithm 4 of the paper.
 
 One driver program implements the EM control flow and executes every small
-(d x d or D x d) operation locally; the three data-sized computations --
-meanJob + FnormJob (once, before the loop), the consolidated YtXJob and
-ss3Job (each iteration) -- are dispatched to a :class:`Backend`.  Swapping
-the backend switches between sPCA-Sequential, sPCA-MapReduce and sPCA-Spark
-without touching this file, which is the paper's claim that "the design is
-general and can be implemented on different platforms".
+(d x d or D x d) operation locally; the data-sized computations -- meanJob
++ FnormJob (once, before the loop) and the consolidated YtXJob (each
+iteration) -- are dispatched to a :class:`Backend`.  The paper's ss3 job
+(Algorithm 4, line 13) is a second pass over Y per iteration; here ss3 is
+``sum(C * YtX)`` on the driver (see :meth:`Backend.ss3`), so each iteration
+reads the data once.  Swapping the backend switches between
+sPCA-Sequential, sPCA-MapReduce and sPCA-Spark without touching this file,
+which is the paper's claim that "the design is general and can be
+implemented on different platforms".
 """
 
 from __future__ import annotations
@@ -252,9 +255,7 @@ class SPCA:
                 xtx = xtx + n_samples * noise_variance * moment_inv
                 components = ytx @ inverse(xtx)               # C = YtX / XtX
                 ss2 = float(np.trace(xtx @ components.T @ components))
-                ss3 = self.backend.ss3(
-                    dataset, mean, projector, latent_mean, components
-                )
+                ss3 = self.backend.ss3(components=components, ytx=ytx)
                 noise_variance = max(
                     (ss1 + ss2 - 2.0 * ss3) / (n_samples * n_features), 1e-12
                 )

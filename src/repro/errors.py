@@ -112,10 +112,6 @@ class DriverOutOfMemoryError(EngineError, MemoryError):
         )
 
 
-class ExecutorOutOfMemoryError(EngineError, MemoryError):
-    """Aggregate executor memory was exhausted and spilling is disabled."""
-
-
 class FileSystemError(EngineError, IOError):
     """A simulated distributed file-system operation failed."""
 

@@ -259,7 +259,7 @@ def sem_blend(state: SEMState, stats: SEMBatchStats, *, step_decay: float) -> SE
     n_cols = components.shape[0]
     if stats.residual is not None and stats.latent is not None:
         # Expected complete-data residual, like the trace path (and the
-        # paper's ss3Job): the plug-in ||Yc - X C'||^2 plus the posterior
+        # paper's ss3 job): the plug-in ||Yc - X C'||^2 plus the posterior
         # covariance term n*ss*tr(M^-1 C'C).  The historical dense path
         # omitted the correction, so the two residual modes disagreed by
         # O(ss * tr(M^-1 C'C) / D).

@@ -126,7 +126,8 @@ class MixtureOfPPCA:
             cross = (weights[:, None] * centered).T @ latent
             new_loadings = cross @ inverse(weighted_latent_gram)
             ss2 = float(np.trace(weighted_latent_gram @ new_loadings.T @ new_loadings))
-            ss3 = float(np.sum(weights[:, None] * (centered @ new_loadings) * latent))
+            # cross already carries the weights, so ss3 = sum(C * cross).
+            ss3 = float(np.sum(new_loadings * cross))
             ss1 = float(np.sum(weights[:, None] * centered * centered))
             self.loadings_[k] = new_loadings
             self.noise_[k] = max((ss1 + ss2 - 2.0 * ss3) / (total * n_cols), 1e-9)

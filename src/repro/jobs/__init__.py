@@ -10,7 +10,6 @@ from repro.jobs.kernels import (
     block_error_parts,
     block_frobenius,
     block_latent,
-    block_ss3,
     block_sums,
     block_ytx_xtx,
 )
@@ -19,7 +18,6 @@ __all__ = [
     "block_error_parts",
     "block_frobenius",
     "block_latent",
-    "block_ss3",
     "block_sums",
     "block_ytx_xtx",
 ]

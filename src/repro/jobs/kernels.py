@@ -21,7 +21,6 @@ from repro.errors import ShapeError
 from repro.linalg.blocks import Matrix, is_sparse
 from repro.linalg.centered import centered_times, centered_transpose_times
 from repro.linalg.frobenius import frobenius_simple, frobenius_sparse
-from repro.linalg.multiply import xcy_block
 from repro.lint.contracts import contract
 
 
@@ -159,42 +158,6 @@ def block_ytx_xtx(
 @contract(
     block="matrix (b, D)",
     mean="dense (D,)",
-    projector="dense (D, d)",
-    latent_mean="dense (d,)",
-    components="dense (D, d)",
-    latent="dense (b, d)",
-    ret="scalar",
-)
-def block_ss3(
-    block: Matrix,
-    mean: np.ndarray,
-    projector: np.ndarray,
-    latent_mean: np.ndarray,
-    components: np.ndarray,
-    mean_propagation: bool,
-    latent: np.ndarray | None = None,
-) -> float:
-    """ss3Job: one block's partial ``sum_n X_n * C' * Yc_n'``.
-
-    Uses the associativity trick of Equation 3: contract C with the sparse
-    data first (``Y @ C`` costs O(nnz*d)), then with X.  The mean's
-    contribution is subtracted via ``colsum(X) . (C' Ym)``.
-    """
-    if mean_propagation:
-        if latent is None:
-            latent = block_latent(block, mean, projector, latent_mean, True)
-        data_part = xcy_block(latent, components, block)
-        mean_part = float(latent.sum(axis=0) @ (components.T @ mean))
-        return data_part - mean_part
-    centered = _centered(block, mean)
-    if latent is None:
-        latent = centered @ projector
-    return xcy_block(latent, components, centered)
-
-
-@contract(
-    block="matrix (b, D)",
-    mean="dense (D,)",
     components="dense (D, d)",
     ls_projector="dense (D, d)",
     ret=("dense (D,)", "dense (D,)"),
@@ -231,16 +194,3 @@ def block_error_parts(
 def error_from_colsums(residual_colsums: np.ndarray, magnitude_colsums: np.ndarray) -> float:
     """Final induced-1-norm error from the summed per-column vectors."""
     return float(residual_colsums.max()) / max(float(magnitude_colsums.max()), 1e-300)
-
-
-@contract(latent="dense (b, d)", ret="int")
-def latent_block_bytes(latent: np.ndarray) -> int:
-    """Bytes a materialized X block would occupy as intermediate data."""
-    return int(np.asarray(latent).nbytes)
-
-
-@contract(block="matrix (b, D)", ret="int")
-def densified_bytes(block: Matrix) -> int:
-    """Bytes of the dense centered copy the no-mean-propagation path builds."""
-    rows, cols = block.shape
-    return int(rows * cols * np.dtype(np.float64).itemsize)

@@ -29,7 +29,6 @@ KEY_YTX = "YtX"
 KEY_YTX_DATA = "YtX/data"
 KEY_XSUM = "YtX/xsum"
 KEY_XTX = "XtX"
-KEY_SS3 = "ss3"
 KEY_RESIDUAL = "error/residual"
 KEY_MAGNITUDE = "error/magnitude"
 
@@ -205,33 +204,6 @@ class XMaterializeMapper(Mapper):
             )
             for key, value in records
         ]
-
-
-class SS3Mapper(Mapper):
-    """ss3Job: per-split share of ``sum_n X_n * C' * Yc_n'``.
-
-    Config adds ``components`` (the freshly updated C).
-    """
-
-    def setup(self, ctx):
-        self.total = 0.0
-
-    def map_batch(self, records, ctx):
-        if records:
-            block, latent = _stack_split(records)
-            self.total += kernels.block_ss3(
-                block,
-                ctx.config["mean"],
-                ctx.config["projector"],
-                ctx.config["latent_mean"],
-                ctx.config["components"],
-                ctx.config["mean_propagation"],
-                latent=latent,
-            )
-        return []
-
-    def cleanup(self, ctx):
-        yield KEY_SS3, self.total
 
 
 class ErrorMapper(Mapper):

@@ -9,8 +9,8 @@ Section 3 of the paper optimizes:
   the *centered* matrix ``Yc = Y - Ym`` without ever materializing it
   (Section 3.1).
 - :mod:`repro.linalg.multiply` -- the efficient multiplication patterns of
-  Section 3.3 (broadcast in-memory multiply, row-wise ``A' * B``
-  accumulation, and the associativity trick of Equation 3).
+  Section 3.3 (broadcast in-memory multiply and row-wise ``A' * B``
+  accumulation).
 - :mod:`repro.linalg.frobenius` -- Algorithms 2 and 3 for the Frobenius norm
   of the centered matrix (Section 3.4).
 - :mod:`repro.linalg.stats` -- column means/sums, row sampling and the
@@ -36,7 +36,6 @@ from repro.linalg.operators import CenteredOperator
 from repro.linalg.multiply import (
     broadcast_times,
     transpose_times_accumulate,
-    xcy_associative,
 )
 from repro.linalg.stats import column_means, column_sums, sample_rows
 
@@ -59,5 +58,4 @@ __all__ = [
     "sample_rows",
     "stack_blocks",
     "transpose_times_accumulate",
-    "xcy_associative",
 ]

@@ -1,6 +1,6 @@
 """Efficient matrix multiplication patterns (paper Section 3.3).
 
-Three patterns appear throughout sPCA:
+Two patterns appear throughout sPCA:
 
 1. **Broadcast multiply** (:func:`broadcast_times`): ``A * B`` where ``A`` is
    distributed row-wise and the small ``B`` fits in every worker's memory.
@@ -12,17 +12,15 @@ Three patterns appear throughout sPCA:
    rows; partials are combined with addition, which maps directly onto
    MapReduce combiners and Spark accumulators.
 
-3. **Associativity trick** (:func:`xcy_associative`): the ss3 term needs
-   ``X_i * C' * Y_i'`` per row (Equation 3).  Computing ``(X_i * C')`` first
-   costs O(D*d) per row and wastes work on the zero entries of the sparse
-   ``Y_i``; computing ``X_i * (C' * Y_i')`` instead costs O(z*d) where z is
-   the number of non-zeros.
+The paper's third pattern, the associativity trick of Equation 3 for the
+ss3 term, has no user: ss3 is ``sum(C * YtX)`` on the driver (see
+:meth:`repro.backends.base.Backend.ss3`), so no job evaluates
+``X_i * C' * Y_i'`` per row.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import ShapeError
 from repro.linalg.blocks import Matrix
@@ -75,66 +73,3 @@ def transpose_times_accumulate(blocks, right_blocks) -> np.ndarray:
     if total is None:
         raise ShapeError("cannot multiply zero blocks")
     return total
-
-
-@contract(components="dense (D, d)", ret="scalar")
-def xcy_associative(x_row: np.ndarray, components: np.ndarray, y_row: Matrix) -> float:
-    """Compute ``x * C' * y'`` exploiting associativity (Equation 3).
-
-    Evaluates ``x . (C' y')``: first project the (sparse) data row through
-    ``C'`` -- touching only its non-zeros -- then take a d-dimensional dot
-    product.  The naive order ``(x C') . y`` would materialize a dense
-    D-vector per row.
-
-    Args:
-        x_row: latent row ``X_i``, length d.
-        components: the current components ``C``, shape ``(D, d)``.
-        y_row: data row ``Y_i``, sparse ``(1, D)`` or dense length-D array.
-
-    Returns:
-        The scalar ``X_i * C' * Y_i'``.
-    """
-    x_row = np.asarray(x_row, dtype=np.float64).ravel()
-    components = np.asarray(components, dtype=np.float64)
-    if components.shape[1] != x_row.shape[0]:
-        raise ShapeError(
-            f"components have {components.shape[1]} columns but x has length {x_row.shape[0]}"
-        )
-    if sp.issparse(y_row):
-        csr = y_row.tocsr()
-        if csr.shape[1] != components.shape[0]:
-            raise ShapeError(
-                f"y has {csr.shape[1]} columns but components have {components.shape[0]} rows"
-            )
-        # C' * y' touching only the non-zeros of y.
-        projected = components[csr.indices].T @ csr.data
-    else:
-        y_dense = np.asarray(y_row, dtype=np.float64).ravel()
-        if y_dense.shape[0] != components.shape[0]:
-            raise ShapeError(
-                f"y has length {y_dense.shape[0]} but components have {components.shape[0]} rows"
-            )
-        projected = components.T @ y_dense
-    return float(x_row @ projected)
-
-
-@contract(
-    x_block="dense (b, d)",
-    components="dense (D, d)",
-    y_block="matrix (b, D)",
-    ret="scalar",
-)
-def xcy_block(x_block: np.ndarray, components: np.ndarray, y_block: Matrix) -> float:
-    """Vectorized form of :func:`xcy_associative` over a whole row block.
-
-    Returns ``sum_i X_i * C' * Y_i' = trace(C' * Y' * X) = sum((Y @ C) * X)``.
-    The contraction order keeps the sparse block sparse: ``Y @ C`` is a
-    sparse-times-dense product of cost O(nnz * d).
-    """
-    x_block = np.asarray(x_block, dtype=np.float64)
-    projected = np.asarray(y_block @ components)
-    if projected.shape != x_block.shape:
-        raise ShapeError(
-            f"projected block has shape {projected.shape}, latent block {x_block.shape}"
-        )
-    return float(np.sum(projected * x_block))

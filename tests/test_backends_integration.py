@@ -96,8 +96,8 @@ def test_mapreduce_backend_accumulates_metrics(sparse_data):
     assert backend.simulated_seconds > 0
     jobs = backend.runtime.metrics.jobs
     names = {job.name for job in jobs}
-    assert {"meanJob", "FnormJob", "YtXJob", "ss3Job"} <= names
-    # One meanJob + FnormJob, then YtXJob + ss3Job per iteration.
+    assert {"meanJob", "FnormJob", "YtXJob"} <= names
+    # One meanJob + FnormJob, then one YtXJob per iteration.
     assert len([j for j in jobs if j.name == "YtXJob"]) == BASE.max_iterations
 
 

@@ -35,7 +35,7 @@ CONFIG = SPCAConfig(
 MAX_TASK_ATTEMPTS = 4
 
 # Every job name the two backends submit during a fit.
-JOB_NAMES = ("meanJob", "FnormJob", "YtXJob", "ss3Job")
+JOB_NAMES = ("meanJob", "FnormJob", "YtXJob")
 
 
 @pytest.fixture(scope="module")
@@ -168,7 +168,7 @@ def test_heavy_deterministic_plan_is_survivable_and_counted(backend_name):
         events=(
             KillTask(job="meanJob", attempts=3, occurrence=0),
             FetchFailure(job="YtXJob", attempts=2, occurrence=None),
-            Straggler(job="ss3Job", factor=10.0, occurrence=None),
+            Straggler(job="YtXJob", factor=10.0, occurrence=None),
             ExecutorLoss(job="YtXJob", executor=1, occurrence=0),
         )
     )

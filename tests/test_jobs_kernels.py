@@ -10,7 +10,6 @@ from repro.jobs import (
     block_error_parts,
     block_frobenius,
     block_latent,
-    block_ss3,
     block_sums,
     block_ytx_xtx,
 )
@@ -74,32 +73,6 @@ class TestBlockYtxXtx:
             )
             assert np.array_equal(ytx_a, ytx_b)
             assert np.array_equal(xtx_a, xtx_b)
-
-
-class TestBlockSS3:
-    def test_matches_dense_reference(self, setting):
-        block, mean, projector, latent_mean, components = setting
-        centered = dense_centered(block, mean)
-        latent = centered @ projector
-        expected = float(np.sum((centered @ components) * latent))
-        for mean_prop in (True, False):
-            result = block_ss3(
-                block, mean, projector, latent_mean, components, mean_prop
-            )
-            assert result == pytest.approx(expected, abs=1e-9)
-
-    def test_precomputed_latent_used(self, setting):
-        block, mean, projector, latent_mean, components = setting
-        for mean_prop in (True, False):
-            latent = block_latent(block, mean, projector, latent_mean, mean_prop)
-            recomputed = block_ss3(
-                block, mean, projector, latent_mean, components, mean_prop
-            )
-            supplied = block_ss3(
-                block, mean, projector, latent_mean, components, mean_prop,
-                latent=latent,
-            )
-            assert recomputed == supplied
 
 
 class TestBlockFrobenius:

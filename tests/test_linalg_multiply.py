@@ -3,17 +3,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import ShapeError
 from repro.linalg import (
     broadcast_times,
     partition_rows,
     transpose_times_accumulate,
-    xcy_associative,
 )
-from repro.linalg.multiply import xcy_block
 
 
 @pytest.fixture
@@ -53,60 +49,3 @@ def test_transpose_times_accumulate_rejects_empty():
 def test_transpose_times_accumulate_rejects_mismatch(rng):
     with pytest.raises(ShapeError):
         transpose_times_accumulate([np.ones((3, 2))], [np.ones((4, 2))])
-
-
-def test_xcy_associative_matches_naive_sparse(rng):
-    y_row = sp.random(1, 30, density=0.2, random_state=5, format="csr")
-    components = rng.normal(size=(30, 4))
-    x_row = rng.normal(size=4)
-    naive = float((x_row @ components.T) @ np.asarray(y_row.todense()).ravel())
-    assert xcy_associative(x_row, components, y_row) == pytest.approx(naive)
-
-
-def test_xcy_associative_dense(rng):
-    y_row = rng.normal(size=12)
-    components = rng.normal(size=(12, 3))
-    x_row = rng.normal(size=3)
-    naive = float((x_row @ components.T) @ y_row)
-    assert xcy_associative(x_row, components, y_row) == pytest.approx(naive)
-
-
-def test_xcy_associative_shape_errors(rng):
-    with pytest.raises(ShapeError):
-        xcy_associative(np.ones(3), np.ones((5, 4)), np.ones(5))
-    with pytest.raises(ShapeError):
-        xcy_associative(np.ones(4), np.ones((5, 4)), np.ones(6))
-    with pytest.raises(ShapeError):
-        xcy_associative(np.ones(4), np.ones((5, 4)), sp.csr_matrix((1, 6)))
-
-
-def test_xcy_block_matches_rowwise(rng):
-    matrix = sp.random(25, 18, density=0.3, random_state=7, format="csr")
-    components = rng.normal(size=(18, 4))
-    latent = rng.normal(size=(25, 4))
-    rowwise = sum(
-        xcy_associative(latent[i], components, matrix[i]) for i in range(25)
-    )
-    assert xcy_block(latent, components, matrix) == pytest.approx(rowwise)
-
-
-def test_xcy_block_shape_error(rng):
-    with pytest.raises(ShapeError):
-        xcy_block(np.ones((3, 4)), np.ones((6, 4)), np.ones((4, 6)))
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    n=st.integers(min_value=1, max_value=10),
-    d_cols=st.integers(min_value=1, max_value=10),
-    k=st.integers(min_value=1, max_value=4),
-    seed=st.integers(min_value=0, max_value=2**31 - 1),
-)
-def test_property_xcy_block_is_trace_identity(n, d_cols, k, seed):
-    # sum_i X_i C' Y_i' == trace(C' Y' X)
-    rng = np.random.default_rng(seed)
-    matrix = rng.normal(size=(n, d_cols))
-    components = rng.normal(size=(d_cols, k))
-    latent = rng.normal(size=(n, k))
-    trace = float(np.trace(components.T @ matrix.T @ latent))
-    assert xcy_block(latent, components, matrix) == pytest.approx(trace, abs=1e-8)

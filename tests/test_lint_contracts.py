@@ -180,14 +180,6 @@ def test_block_ytx_xtx_rejects_mismatched_latent():
         )
 
 
-def test_block_ss3_checks_components():
-    with pytest.raises(ShapeError):
-        kernels.block_ss3(
-            np.ones((4, 5)), np.zeros(5), np.ones((5, 2)), np.zeros(2),
-            np.ones((6, 2)), True,
-        )
-
-
 def test_kernels_registered():
     registry = contracts.registered()
     for name in (
@@ -195,7 +187,6 @@ def test_kernels_registered():
         "block_frobenius",
         "block_latent",
         "block_ytx_xtx",
-        "block_ss3",
         "block_error_parts",
         "error_from_colsums",
     ):

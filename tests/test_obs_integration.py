@@ -169,7 +169,7 @@ class TestFaultTelemetry:
     PLAN = FaultPlan(
         events=(
             KillTask(job="YtXJob", attempts=2, occurrence=0),
-            Straggler(job="ss3Job", factor=9.0, occurrence=0),
+            Straggler(job="YtXJob", factor=9.0, occurrence=0),
         )
     )
 
@@ -183,7 +183,7 @@ class TestFaultTelemetry:
         assert all(e.attrs["job"] == "YtXJob" for e in kills)
         # attempts=2 means attempts 1 and 2 both die; attempt 3 succeeds.
         assert {e.attrs["attempt"] for e in kills} == {1, 2}
-        assert all(e.attrs["job"] == "ss3Job" for e in stragglers)
+        assert all(e.attrs["job"] == "YtXJob" for e in stragglers)
         assert all(e.attrs["factor"] == 9.0 for e in stragglers)
 
     @pytest.mark.parametrize("backend_cls", [MapReduceBackend, SparkBackend])
