@@ -1,10 +1,10 @@
 """Ablation: the stateful combiner of Section 4.1.
 
 sPCA's YtX mapper keeps in-memory partial matrices and emits them once from
-``cleanup``; a naive port emits one dense partial per input record and
-relies on combiners to collapse the flood.  This bench runs both mappers on
-the same input and compares mapper output and job time -- the same
-pathology the paper diagnoses in Mahout's Bt job.
+``cleanup``; a naive port emits one partial per input record and relies on
+combiners to collapse the flood.  This bench runs the YtX spec through both
+MapReduce lowerings on the same input and compares mapper output and job
+time -- the same pathology the paper diagnoses in Mahout's Bt job.
 """
 
 import numpy as np
@@ -13,8 +13,9 @@ import pytest
 from harness import MR_COSTS, format_bytes
 from repro.data.generators import bag_of_words
 from repro.data.paper import scaled_cluster
-from repro.engine.mapreduce import MapReduceJob, MapReduceRuntime
+from repro.engine.mapreduce import MapReduceRuntime
 from repro.jobs import mapreduce_jobs as mr
+from repro.jobs import specs
 from repro.linalg.blocks import partition_rows
 
 
@@ -42,16 +43,9 @@ def test_stateful_combiner_vs_per_record_emission(benchmark, report):
     stats = {}
 
     def run_both():
-        for label, mapper in (
-            ("stateful", mr.YtXMapper()),
-            ("per-record", mr.NaiveYtXMapper()),
-        ):
+        for label, per_record in (("stateful", False), ("per-record", True)):
             runtime = MapReduceRuntime(cluster=scaled_cluster(), cost_model=MR_COSTS)
-            job = MapReduceJob(
-                name="YtXJob", mapper=mapper, reducer=mr.MatrixSumReducer(),
-                combiner=mr.MatrixSumReducer(), num_reducers=2, config=config,
-            )
-            output = dict(runtime.run(job, splits))
+            output = mr.run_spec(runtime, specs.YTX, splits, config, per_record)
             stats[label] = (runtime.metrics.jobs[-1], output)
         return len(stats)
 
@@ -71,8 +65,8 @@ def test_stateful_combiner_vs_per_record_emission(benchmark, report):
     assert naive.sim_seconds > stateful.sim_seconds
 
     # Both compute identical results: the optimization is free of error.
-    # (XtX is directly comparable; the stateful path reports YtX in its
-    # sparse data-product + column-sum protocol.)
-    lhs = stats["stateful"][1][mr.KEY_XTX]
-    rhs = stats["per-record"][1][mr.KEY_XTX]
-    np.testing.assert_allclose(np.asarray(lhs), np.asarray(rhs), rtol=1e-8, atol=1e-6)
+    params = {"mean": mean}
+    lhs = specs.YTX.finish(stats["stateful"][1], params)
+    rhs = specs.YTX.finish(stats["per-record"][1], params)
+    for left, right in zip(lhs, rhs, strict=True):
+        np.testing.assert_allclose(left, right, rtol=1e-8, atol=1e-6)

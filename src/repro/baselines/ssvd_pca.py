@@ -28,7 +28,7 @@ from repro.engine.mapreduce.runtime import MapReduceRuntime
 from repro.engine.metrics import JobStats
 from repro.errors import ShapeError
 from repro.jobs import mapreduce_jobs as mr
-from repro.jobs import ssvd_jobs
+from repro.jobs import specs, ssvd_jobs
 from repro.linalg import small
 from repro.linalg.blocks import Matrix, partition_rows
 from repro.obs import EventTrace, record_job_stats
@@ -113,7 +113,7 @@ class SSVDPCAMapReduce:
             simulated_seconds=self._algorithm_seconds(run_jobs),
             wall_seconds=time.perf_counter() - started,
             intermediate_bytes=sum(
-                job.intermediate_bytes for job in run_jobs if job.name != "errorJob"
+                job.intermediate_bytes for job in specs.algorithm_jobs(run_jobs)
             ),
             accuracy_timeline=timeline,
         )
@@ -125,11 +125,7 @@ class SSVDPCAMapReduce:
         return [[(block.start, block.data)] for block in blocks]
 
     def _mean_job(self, splits) -> np.ndarray:
-        job = MapReduceJob(
-            name="meanJob", mapper=mr.MeanMapper(), reducer=mr.MatrixSumReducer()
-        )
-        output = dict(self.runtime.run(job, splits))
-        return output[mr.KEY_SUMS] / output[mr.KEY_COUNT]
+        return specs.MEAN.finish(mr.run_spec(self.runtime, specs.MEAN, splits, {}), {})
 
     def _sketch_job(self, splits, test_matrix, mean) -> list[tuple[int, np.ndarray]]:
         job = MapReduceJob(
@@ -260,25 +256,18 @@ class SSVDPCAMapReduce:
     def _error_job(self, splits, components, mean) -> float:
         if mean is None:
             mean = np.zeros(components.shape[0])
-        ls_projector = small.ls_projector(components)
-        job = MapReduceJob(
-            name="errorJob",
-            mapper=mr.ErrorMapper(),
-            reducer=mr.MatrixSumReducer(),
-            config={
-                "mean": mean,
-                "components": components,
-                "ls_projector": ls_projector,
-                "sample_fraction": self.error_sample_fraction,
-                "seed": self.seed,
-                "mean_propagation": True,
-            },
+        params = {
+            "mean": mean,
+            "components": components,
+            "ls_projector": small.ls_projector(components),
+            "sample_fraction": self.error_sample_fraction,
+            "seed": self.seed,
+            "mean_propagation": True,
+        }
+        return specs.ERROR.finish(
+            mr.run_spec(self.runtime, specs.ERROR, splits, params), params
         )
-        output = dict(self.runtime.run(job, splits))
-        from repro.jobs.kernels import error_from_colsums
-
-        return error_from_colsums(output[mr.KEY_RESIDUAL], output[mr.KEY_MAGNITUDE])
 
     @staticmethod
     def _algorithm_seconds(jobs) -> float:
-        return sum(job.sim_seconds for job in jobs if job.name != "errorJob")
+        return sum(job.sim_seconds for job in specs.algorithm_jobs(jobs))

@@ -243,15 +243,7 @@ class SPCA:
                 latent_mean = mean @ projector                # Xm = Ym * CM
                 previous_components = components
 
-                if config.use_job_consolidation:
-                    ytx, xtx = self.backend.ytx_xtx(
-                        dataset, mean, projector, latent_mean
-                    )
-                else:
-                    # Ablation: two separate distributed passes (Figure 2
-                    # before the consolidation of Figure 3).
-                    _, xtx = self.backend.ytx_xtx(dataset, mean, projector, latent_mean)
-                    ytx, _ = self.backend.ytx_xtx(dataset, mean, projector, latent_mean)
+                ytx, xtx = self.backend.ytx_xtx(dataset, mean, projector, latent_mean)
                 xtx = xtx + n_samples * noise_variance * moment_inv
                 components = ytx @ inverse(xtx)               # C = YtX / XtX
                 ss2 = float(np.trace(xtx @ components.T @ components))

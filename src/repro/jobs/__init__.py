@@ -1,9 +1,11 @@
 """Distributed sPCA jobs.
 
-:mod:`repro.jobs.kernels` holds the per-block math shared by every backend;
-the sibling modules wrap those kernels as MapReduce jobs and Spark closures.
-Keeping the arithmetic in one place guarantees that all backends compute the
-same numbers -- the engines only differ in how partial results move around.
+:mod:`repro.jobs.kernels` holds the per-block math shared by every backend.
+:mod:`repro.jobs.specs` writes each sPCA data job once, as a spec over those
+kernels; :mod:`repro.jobs.mapreduce_jobs` is the specs' MapReduce lowering,
+and :class:`repro.backends.base.Backend` runs them on every engine.  Keeping
+the arithmetic in one place guarantees that all backends compute the same
+numbers -- the engines only differ in how partial results move around.
 """
 
 from repro.jobs.kernels import (

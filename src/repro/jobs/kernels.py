@@ -19,7 +19,7 @@ import scipy.sparse as sp
 
 from repro.errors import ShapeError
 from repro.linalg.blocks import Matrix, is_sparse
-from repro.linalg.centered import centered_times, centered_transpose_times
+from repro.linalg.centered import centered_times
 from repro.linalg.frobenius import frobenius_simple, frobenius_sparse
 from repro.lint.contracts import contract
 
@@ -126,7 +126,7 @@ def block_latent(
     projector="dense (D, d)",
     latent_mean="dense (d,)",
     latent="dense (b, d)",
-    ret=("dense (D, d)", "dense (d, d)"),
+    ret=("matrix (D, d)", "dense (d,)", "dense (d, d)"),
 )
 def block_ytx_xtx(
     block: Matrix,
@@ -135,24 +135,32 @@ def block_ytx_xtx(
     latent_mean: np.ndarray,
     mean_propagation: bool,
     latent: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Consolidated YtXJob: one block's partial (YtX, XtX).
+) -> tuple[Matrix, np.ndarray, np.ndarray]:
+    """Consolidated YtXJob: one block's partial (YtX, colsum(X), XtX).
 
-    ``YtX_part = Yc_blk' * X_blk`` and ``XtX_part = X_blk' * X_blk``.  The
-    optional *latent* argument supplies a pre-materialized X block (the
+    ``XtX_part = X_blk' * X_blk``.  With *mean_propagation* the YtX part is
+    the data product ``Y_blk' * X_blk`` -- sparse for a sparse block -- and
+    whoever sums the parts subtracts ``Ym * colsum(X)`` once, so a partial
+    stays O(z*d) (Section 4.2).  Without it the YtX part is the centered
+    ``Yc_blk' * X_blk`` and needs no correction.  The optional *latent*
+    argument supplies a pre-materialized X block (the
     ``use_x_recomputation=False`` ablation); otherwise X is recomputed here.
     """
     if mean_propagation:
         if latent is None:
             latent = block_latent(block, mean, projector, latent_mean, True)
-        ytx = centered_transpose_times(block, mean, latent)
+        if is_sparse(block):
+            ytx = (block.T @ sp.csr_matrix(latent)).tocsr()
+        else:
+            ytx = block.T @ latent
     else:
         centered = _centered(block, mean)
         if latent is None:
             latent = centered @ projector
         ytx = centered.T @ latent
+    xsum = np.asarray(latent.sum(axis=0)).ravel()
     xtx = latent.T @ latent
-    return ytx, xtx
+    return ytx, xsum, xtx
 
 
 @contract(

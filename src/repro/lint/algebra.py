@@ -69,13 +69,14 @@ def _register_builtins() -> None:
         "MatrixSumReducer / SumReducer / default accumulator add-op: plain "
         "addition of numbers and numpy arrays",
     )
-    from repro.backends.spark import _add_maybe_sparse
+    from repro.jobs.specs import add_part
 
     register_combiner(
         "add-maybe-sparse",
-        _add_maybe_sparse,
-        "Spark YtX accumulator add-op accepting dense or sparse updates "
-        "(the O(z*d) sparse-partial optimization of Section 4.2)",
+        add_part,
+        "the job specs' combine op (Spark accumulators, the sequential "
+        "loop): dense or sparse parts summed densely, the O(z*d) "
+        "sparse-partial optimization of Section 4.2",
     )
     from collections import Counter
 

@@ -16,8 +16,6 @@ from the execute/commit split:
 Any *write* to commit-ordered state from inside a task is therefore a
 protocol violation on its own (the commit loop could interleave with it),
 and two tasks touching the same key with at least one write is a race.
-State registered with the weaker *idempotent* policy tolerates concurrent
-writes as long as every task writes the same value for the same key.
 
 Process-pool note: instrumentation lives in driver-process memory, so the
 checker shadows a ``processes`` executor with its in-process thread sibling
@@ -35,22 +33,8 @@ from typing import Any, Callable, Iterator, Sequence
 
 from repro.engine.exec.base import TaskExecutor
 
-#: Access policies, per watched object.
-POLICY_COMMIT_ORDERED = "commit-ordered"  # in-task writes are violations
-POLICY_IDEMPOTENT = "idempotent"  # in-task writes must agree on the value
-
 #: Wildcard key: conflicts with every other key of the same object.
 WILDCARD_KEY = "*"
-
-#: Default policy per watched object label: everything driver-owned is
-#: commit-ordered.
-DEFAULT_POLICIES: dict[str, str] = {
-    "BlockManager": POLICY_COMMIT_ORDERED,
-    "EngineMetrics": POLICY_COMMIT_ORDERED,
-    "JobStats.faults": POLICY_COMMIT_ORDERED,
-    "Accumulator": POLICY_COMMIT_ORDERED,
-    "lost_blocks": POLICY_COMMIT_ORDERED,
-}
 
 
 @dataclass(frozen=True)
@@ -63,14 +47,13 @@ class Access:
     obj: str
     key: Any
     op: str  # "read" | "write"
-    value: Any = None
 
 
 @dataclass(frozen=True)
 class RaceConflict:
     """One happens-before violation found by the analysis."""
 
-    kind: str  # "unscoped-write" | "conflicting-write" | "race"
+    kind: str  # "unscoped-write" | "race"
     obj: str
     key: Any
     epoch_label: str
@@ -107,8 +90,6 @@ class RaceRecorder:
         self._accesses: list[Access] = []
         self._epoch = 0
         self._epoch_label = ""
-        #: obj label -> policy (unknown labels default to commit-ordered)
-        self.policies: dict[str, str] = dict(DEFAULT_POLICIES)
 
     # -- identity ---------------------------------------------------------
 
@@ -129,7 +110,7 @@ class RaceRecorder:
 
     # -- recording --------------------------------------------------------
 
-    def record(self, obj: str, key: Any, op: str, value: Any = None) -> None:
+    def record(self, obj: str, key: Any, op: str) -> None:
         """Record one access -- only when made from inside a task.
 
         Driver-side accesses (no active task) are ordered by the dispatch/
@@ -141,7 +122,7 @@ class RaceRecorder:
             return
         with self._lock:
             self._accesses.append(
-                Access(self._epoch, self._epoch_label, task, obj, key, op, value)
+                Access(self._epoch, self._epoch_label, task, obj, key, op)
             )
 
     @property
@@ -164,10 +145,6 @@ class RaceRecorder:
                     (access.epoch, access.obj, access.key), []
                 ).append(access)
 
-        def seen_key(group: list[Access]) -> tuple[str, Any, str]:
-            first = group[0]
-            return first.epoch_label, first.key, first.obj
-
         reported: set[tuple[str, str, Any, str]] = set()
 
         def emit(kind: str, group: list[Access], detail: str) -> None:
@@ -187,35 +164,24 @@ class RaceRecorder:
                 )
             )
 
+        # Every watched object is commit-ordered driver state.
         for group in by_group.values():
-            obj = group[0].obj
-            policy = self.policies.get(obj, POLICY_COMMIT_ORDERED)
             writes = [access for access in group if access.op == "write"]
             tasks = {access.task for access in group}
-            if policy == POLICY_COMMIT_ORDERED:
-                if writes:
+            if writes:
+                emit(
+                    "unscoped-write",
+                    writes,
+                    "a task wrote commit-ordered driver state directly; "
+                    "it must stage the effect in its scope for ordered "
+                    "commit",
+                )
+                if len(tasks) > 1:
                     emit(
-                        "unscoped-write",
-                        writes,
-                        "a task wrote commit-ordered driver state directly; "
-                        "it must stage the effect in its scope for ordered "
-                        "commit",
-                    )
-                    if len(tasks) > 1:
-                        emit(
-                            "race",
-                            group,
-                            "concurrent tasks touched the same key with at "
-                            "least one unordered write",
-                        )
-            elif policy == POLICY_IDEMPOTENT:
-                values = {repr(access.value) for access in writes}
-                if len(values) > 1 and len({w.task for w in writes}) > 1:
-                    emit(
-                        "conflicting-write",
-                        writes,
-                        f"concurrent tasks wrote differing values {sorted(values)} "
-                        "for the same identity key (stale-id aliasing)",
+                        "race",
+                        group,
+                        "concurrent tasks touched the same key with at "
+                        "least one unordered write",
                     )
         # A wildcard write (e.g. evict_matching with a predicate) conflicts
         # with any other task's access to the same object in the same epoch.
@@ -368,7 +334,7 @@ class RaceChecker:
 
         def wrap_put(original):
             def put(self, rdd_id, split, data, nbytes):
-                recorder.record("BlockManager", (rdd_id, split), "write", nbytes)
+                recorder.record("BlockManager", (rdd_id, split), "write")
                 return original(self, rdd_id, split, data, nbytes)
 
             return put
@@ -389,7 +355,7 @@ class RaceChecker:
 
         def wrap_record(original):
             def record(self, stats):
-                recorder.record("EngineMetrics", "jobs", "write", stats.name)
+                recorder.record("EngineMetrics", "jobs", "write")
                 return original(self, stats)
 
             return record

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.errors import CombinerAlgebraError
+from repro.jobs.specs import add_part
 from repro.lint.algebra import (
     CombinerSpec,
     check_associative,
@@ -32,6 +33,8 @@ matrices = arrays(np.float64, (3, 2), elements=finite)
 def test_builtin_combiners_registered():
     registry = registered_combiners()
     assert {"sum", "add-maybe-sparse", "counter-merge"} <= set(registry)
+    # The job specs' one combine op is the one verified.
+    assert registry["add-maybe-sparse"].fn is add_part
 
 
 @settings(max_examples=25, deadline=None)

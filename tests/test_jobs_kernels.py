@@ -49,6 +49,13 @@ class TestBlockLatent:
         np.testing.assert_allclose(densified, expected, atol=1e-10)
 
 
+def corrected_ytx(ytx, xsum, mean, mean_prop):
+    """The YtX a sum of parts finishes to: the data product less Ym (x) colsum(X)."""
+    if not mean_prop:
+        return ytx
+    return np.asarray(ytx.todense()) - np.outer(mean, xsum)
+
+
 class TestBlockYtxXtx:
     def test_both_paths_equal_dense_reference(self, setting):
         block, mean, projector, latent_mean, _ = setting
@@ -57,9 +64,25 @@ class TestBlockYtxXtx:
         expected_ytx = centered.T @ latent
         expected_xtx = latent.T @ latent
         for mean_prop in (True, False):
-            ytx, xtx = block_ytx_xtx(block, mean, projector, latent_mean, mean_prop)
-            np.testing.assert_allclose(ytx, expected_ytx, atol=1e-9)
+            ytx, xsum, xtx = block_ytx_xtx(block, mean, projector, latent_mean, mean_prop)
+            np.testing.assert_allclose(
+                corrected_ytx(ytx, xsum, mean, mean_prop), expected_ytx, atol=1e-9
+            )
+            np.testing.assert_allclose(xsum, latent.sum(axis=0), atol=1e-9)
             np.testing.assert_allclose(xtx, expected_xtx, atol=1e-9)
+
+    def test_sparse_block_ships_sparse_data_product(self, setting):
+        # Section 4.2: with mean propagation a sparse block's YtX part is
+        # the uncorrected Y' X, stored with one row per nonzero input column.
+        block, mean, projector, latent_mean, _ = setting
+        ytx, _, _ = block_ytx_xtx(block, mean, projector, latent_mean, True)
+        assert sp.issparse(ytx)
+        latent = block_latent(block, mean, projector, latent_mean, True)
+        np.testing.assert_allclose(ytx.todense(), block.T @ latent, atol=1e-12)
+        dense_ytx, _, _ = block_ytx_xtx(
+            block.toarray(), mean, projector, latent_mean, True
+        )
+        np.testing.assert_allclose(dense_ytx, ytx.todense(), atol=1e-12)
 
     def test_precomputed_latent_used(self, setting):
         # Recomputing X inside the call (sharing the ablation's centered
@@ -67,12 +90,14 @@ class TestBlockYtxXtx:
         block, mean, projector, latent_mean, _ = setting
         for mean_prop in (True, False):
             latent = block_latent(block, mean, projector, latent_mean, mean_prop)
-            ytx_a, xtx_a = block_ytx_xtx(block, mean, projector, latent_mean, mean_prop)
-            ytx_b, xtx_b = block_ytx_xtx(
+            recomputed = block_ytx_xtx(block, mean, projector, latent_mean, mean_prop)
+            handed_in = block_ytx_xtx(
                 block, mean, projector, latent_mean, mean_prop, latent=latent
             )
-            assert np.array_equal(ytx_a, ytx_b)
-            assert np.array_equal(xtx_a, xtx_b)
+            for left, right in zip(recomputed, handed_in, strict=True):
+                if sp.issparse(left):
+                    left, right = left.toarray(), right.toarray()
+                assert np.array_equal(left, right)
 
 
 class TestBlockFrobenius:
@@ -131,13 +156,16 @@ def test_property_blocks_additive(n, d_cols, k, seed):
     latent_mean = mean @ projector
     half = n // 2
     top, bottom = block[:half], block[half:]
-    whole_ytx, whole_xtx = block_ytx_xtx(block, mean, projector, latent_mean, True)
+    whole = block_ytx_xtx(block, mean, projector, latent_mean, True)
     parts = [
         block_ytx_xtx(part, mean, projector, latent_mean, True)
         for part in (top, bottom)
         if part.shape[0] > 0
     ]
-    sum_ytx = sum(p[0] for p in parts)
-    sum_xtx = sum(p[1] for p in parts)
-    np.testing.assert_allclose(sum_ytx, whole_ytx, atol=1e-8)
-    np.testing.assert_allclose(sum_xtx, whole_xtx, atol=1e-8)
+    summed = [sum(p[i] for p in parts) for i in range(3)]
+    np.testing.assert_allclose(
+        corrected_ytx(summed[0], summed[1], mean, True),
+        corrected_ytx(whole[0], whole[1], mean, True),
+        atol=1e-8,
+    )
+    np.testing.assert_allclose(summed[2], whole[2], atol=1e-8)

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from repro.engine.mapreduce.api import TaskContext
 from repro.jobs import mapreduce_jobs as mr
-from repro.jobs import ssvd_jobs
+from repro.jobs import specs, ssvd_jobs
 
 
 @pytest.fixture
@@ -28,16 +28,22 @@ def run_mapper(mapper, records, config):
     return dict(out), ctx
 
 
+# The sPCA jobs run through one mapper, the MapReduce lowering of their
+# specs; tests/test_job_specs.py checks every spec's result on every engine.
+
+
 class TestMeanMapper:
     def test_emits_sums_and_count_once(self, block):
-        out, _ = run_mapper(mr.MeanMapper(), [(0, block), (30, block)], {})
-        np.testing.assert_allclose(
-            out[mr.KEY_SUMS], 2 * np.asarray(block.sum(axis=0)).ravel()
+        out, _ = run_mapper(
+            mr.SpecMapper(specs.MEAN), [(0, block), (30, block)], {}
         )
-        assert out[mr.KEY_COUNT] == 60
+        np.testing.assert_allclose(
+            out[specs.KEY_SUMS], 2 * np.asarray(block.sum(axis=0)).ravel()
+        )
+        assert out[specs.KEY_COUNT] == 60
 
     def test_empty_input_emits_nothing(self):
-        out, _ = run_mapper(mr.MeanMapper(), [], {})
+        out, _ = run_mapper(mr.SpecMapper(specs.MEAN), [], {})
         assert out == {}
 
 
@@ -45,11 +51,14 @@ class TestFnormMapper:
     def test_accumulates_across_records(self, block):
         mean = np.asarray(block.mean(axis=0)).ravel()
         out, _ = run_mapper(
-            mr.FnormMapper(), [(0, block)], {"mean": mean, "efficient": True}
+            mr.SpecMapper(specs.FNORM), [(0, block), (30, block)],
+            {"mean": mean, "efficient": True},
         )
         from repro.linalg import frobenius_centered_dense
 
-        assert out[mr.KEY_FNORM] == pytest.approx(frobenius_centered_dense(block, mean))
+        assert out[specs.KEY_FNORM] == pytest.approx(
+            2 * frobenius_centered_dense(block, mean)
+        )
 
 
 class TestYtXMapper:
@@ -64,40 +73,34 @@ class TestYtXMapper:
             "mean_propagation": mean_prop,
         }
 
-    def test_sparse_protocol_emits_data_and_xsum(self, block):
-        config = self.make_config(block, True)
-        out, ctx = run_mapper(mr.YtXMapper(), [(0, block)], config)
-        assert mr.KEY_XTX in out
-        assert mr.KEY_YTX_DATA in out or mr.KEY_YTX in out
-        assert ctx.counters["ytx/rows"] == 30
-        if mr.KEY_YTX_DATA in out:
-            data_product = out[mr.KEY_YTX_DATA]
-            if sp.issparse(data_product):
-                data_product = np.asarray(data_product.todense())
-            xsum = np.asarray(out[mr.KEY_XSUM]).ravel()
-            reconstructed = np.asarray(data_product) - np.outer(config["mean"], xsum)
-            centered = np.asarray(block.todense()) - config["mean"]
-            latent = centered @ config["projector"]
-            np.testing.assert_allclose(reconstructed, centered.T @ latent, atol=1e-9)
-
-    def test_dense_input_uses_corrected_protocol(self, dense_block):
-        config = self.make_config(sp.csr_matrix(dense_block), True)
-        out, _ = run_mapper(mr.YtXMapper(), [(0, dense_block)], config)
-        assert mr.KEY_YTX in out
+    def check_protocol(self, out, dense_block, config):
+        assert set(out) == {specs.KEY_YTX_DATA, specs.KEY_XSUM, specs.KEY_XTX}
+        ytx, _ = specs.YTX.finish(out, config)
         centered = dense_block - config["mean"]
         latent = centered @ config["projector"]
-        np.testing.assert_allclose(out[mr.KEY_YTX], centered.T @ latent, atol=1e-9)
+        np.testing.assert_allclose(ytx, centered.T @ latent, atol=1e-9)
+
+    def test_sparse_protocol_emits_data_and_xsum(self, block):
+        config = self.make_config(block, True)
+        out, _ = run_mapper(mr.SpecMapper(specs.YTX), [(0, block)], config)
+        self.check_protocol(out, np.asarray(block.todense()), config)
+
+    def test_dense_input_ships_data_product_and_xsum(self, dense_block):
+        # Dense blocks take the same protocol: the driver corrects once.
+        config = self.make_config(sp.csr_matrix(dense_block), True)
+        out, _ = run_mapper(mr.SpecMapper(specs.YTX), [(0, dense_block)], config)
+        self.check_protocol(out, dense_block, config)
 
     def test_naive_mapper_emits_per_record(self, block):
         config = self.make_config(block, True)
-        ctx = TaskContext("test", 0, dict(config))
-        mapper = mr.NaiveYtXMapper()
-        mapper.setup(ctx)
-        emitted = list(mapper.map(0, block, ctx)) + list(mapper.map(30, block, ctx))
-        keys = [key for key, _ in emitted]
-        assert keys.count(mr.KEY_YTX) == 2
-        assert keys.count(mr.KEY_XTX) == 2
-        assert list(mapper.cleanup(ctx)) == []
+        out = list(
+            mr.SpecMapper(specs.YTX, per_record=True).map_batch(
+                [(0, block), (30, block)], TaskContext("test", 0, dict(config))
+            )
+        )
+        keys = [key for key, _ in out]
+        assert keys.count(specs.KEY_YTX_DATA) == 2
+        assert keys.count(specs.KEY_XTX) == 2
 
 
 class TestXMaterializeMapper:
@@ -111,7 +114,7 @@ class TestXMaterializeMapper:
             "latent_mean": mean @ projector,
             "mean_propagation": True,
         }
-        out, _ = run_mapper(mr.XMaterializeMapper(), [(7, block)], config)
+        out, _ = run_mapper(mr.LatentMapper(), [(7, block)], config)
         assert out[7].shape == (30, 3)
 
 

@@ -12,19 +12,11 @@ from repro.engine.spark.context import SparkContext
 from repro.faults import PlannedFaults
 from repro.faults.plan import ExecutorLoss, FaultPlan
 from repro.lint.racecheck import (
-    POLICY_IDEMPOTENT,
     RaceChecker,
     RaceCheckExecutor,
     RaceRecorder,
     run_spca_racecheck,
 )
-
-
-def _idempotent_cache_recorder():
-    """A recorder watching an identity-keyed cache under the idempotent policy."""
-    recorder = RaceRecorder()
-    recorder.policies["size_cache"] = POLICY_IDEMPOTENT
-    return recorder
 
 
 def _small_fit_data():
@@ -78,39 +70,17 @@ class TestRecorderAnalysis:
 
     def test_epochs_order_accesses(self):
         # Same key, two different epochs: the join/dispatch barrier between
-        # them orders the accesses, so no race.
-        recorder = _idempotent_cache_recorder()
+        # them orders the accesses, so the write is unscoped but no race.
+        recorder = RaceRecorder()
         recorder.begin_epoch("stage1")
         recorder.enter_task(0)
-        recorder.record("size_cache", 42, "write", 100)
+        recorder.record("lost_blocks", (1, 2), "write")
         recorder.exit_task()
         recorder.begin_epoch("stage2")
         recorder.enter_task(1)
-        recorder.record("size_cache", 42, "write", 200)
+        recorder.record("lost_blocks", (1, 2), "read")
         recorder.exit_task()
-        assert recorder.conflicts() == []
-
-    def test_idempotent_policy_allows_agreeing_writes(self):
-        recorder = _idempotent_cache_recorder()
-        recorder.begin_epoch("stage")
-        for task in range(3):
-            recorder.enter_task(task)
-            recorder.record("size_cache", 42, "write", 100)
-            recorder.exit_task()
-        assert recorder.conflicts() == []
-
-    def test_idempotent_policy_flags_disagreeing_writes(self):
-        recorder = _idempotent_cache_recorder()
-        recorder.begin_epoch("stage")
-        recorder.enter_task(0)
-        recorder.record("size_cache", 42, "write", 100)
-        recorder.exit_task()
-        recorder.enter_task(1)
-        recorder.record("size_cache", 42, "write", 999)
-        recorder.exit_task()
-        conflicts = recorder.conflicts()
-        assert [c.kind for c in conflicts] == ["conflicting-write"]
-        assert "aliasing" in conflicts[0].detail
+        assert [c.kind for c in recorder.conflicts()] == ["unscoped-write"]
 
     def test_wildcard_eviction_races_with_keyed_access(self):
         recorder = RaceRecorder()

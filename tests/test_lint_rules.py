@@ -220,7 +220,7 @@ def test_df004_clean_for_stateful_cleanup_combiner():
 
 def test_df004_clean_for_keyed_passthrough():
     # Map-only materialization keyed by the record's own key is not
-    # combiner input (XMaterializeMapper's pattern).
+    # combiner input (XJob's LatentMapper pattern).
     findings = lint(
         """
         from repro.engine.mapreduce.api import Mapper
