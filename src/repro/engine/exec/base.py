@@ -6,14 +6,15 @@ partitions of one Spark stage -- and returns their results **in task-index
 order** regardless of completion order.  Everything with a side effect
 (counters, trace events, cache puts, accumulator updates, fault accounting)
 stays out of the executor: tasks return pure outcome records and the driver
-commits them in index order, which is what keeps every executor bit-identical
-to ``serial`` (see ``docs/engines.md``).
+commits them in index order.  Both engines run every stage this way on every
+executor, ``serial`` included, which is what keeps all executors
+bit-identical (see ``docs/engines.md``).
 
 Observability: concurrent executors emit an ``executor_dispatch`` event when
 a batch is submitted and an ``executor_join`` event when the last task
 finishes, carrying the per-task wall times.  The ``serial`` executor emits
-nothing so traces from the default configuration are byte-identical to the
-pre-executor engine.
+neither, so a default-configuration trace holds only the engines' own
+events.
 """
 
 from __future__ import annotations
@@ -38,7 +39,9 @@ class TaskExecutor:
 
     #: executor name as exposed on the CLI (`--executor ...`)
     name = "base"
-    #: True only for the serial executor (engines keep their legacy code path)
+    #: True only for the serial executor: tasks run on the calling thread,
+    #: so callers may skip work that only pays off across workers (pinning
+    #: payloads, warming pools).  Engines run the same path either way.
     serial = False
 
     def __init__(self, workers: int = 1):

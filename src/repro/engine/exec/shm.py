@@ -23,8 +23,11 @@ Segments are owned by the *creating* process through a
   and an ``atexit`` hook unlink whatever remains;
 - finalizers inherited by forked workers are pid-guarded: only the process
   that created a segment may unlink it;
-- workers unregister attached segments from ``resource_tracker`` so a
-  worker's exit neither warns about nor destroys segments it merely mapped.
+- a worker that shares its creator's ``resource_tracker`` (forked and
+  spawned workers inherit the tracker's pipe) leaves the owner's
+  registration alone; only a process whose attach started a tracker of its
+  own unregisters, so its exit neither warns about nor destroys segments
+  it merely mapped.
 
 ``active_segments()`` exposes the registry's live set, which the leak tests
 assert is empty after executor shutdown.
@@ -41,7 +44,7 @@ import os
 import threading
 import weakref
 from dataclasses import dataclass
-from multiprocessing import shared_memory
+from multiprocessing import resource_tracker, shared_memory
 from typing import Any
 
 import numpy as np
@@ -257,6 +260,25 @@ def encode_payload(
 # ships the same source array, so the map stays small and hot.
 _ATTACHED: dict[str, shared_memory.SharedMemory] = {}
 _ATTACH_LOCK = threading.Lock()
+# pid -> whether that process attached through a resource tracker it started
+# itself.  Keyed by pid because forked children inherit this dict.
+_OWN_TRACKER: dict[int, bool] = {}
+
+
+def _has_own_tracker() -> bool:
+    """True when this process's attaches register with a tracker of its own.
+
+    Decided once per process, before its first attach: a tracker pipe that
+    is already open was inherited from the creating process (or opened by
+    this process's own segment creation), and registrations through it are
+    the owner's -- unregistering one would drop the owner's entry and make
+    the owner's later unlink raise ``KeyError`` inside the tracker.
+    """
+    pid = os.getpid()
+    if pid not in _OWN_TRACKER:
+        tracker = getattr(resource_tracker, "_resource_tracker", None)
+        _OWN_TRACKER[pid] = getattr(tracker, "_fd", None) is None
+    return _OWN_TRACKER[pid]
 
 
 def _attach(name: str) -> shared_memory.SharedMemory:
@@ -264,16 +286,16 @@ def _attach(name: str) -> shared_memory.SharedMemory:
         segment = _ATTACHED.get(name)
         if segment is not None:
             return segment
+        own_tracker = _has_own_tracker()
         segment = shared_memory.SharedMemory(name=name)
-        # Attaching registered the segment with this process's resource
-        # tracker, which would unlink it when *this* process exits -- but the
-        # creating process owns the segment.  Undo the registration.
-        try:  # pragma: no cover - depends on resource_tracker internals
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(segment._name, "shared_memory")  # type: ignore[attr-defined]
-        except Exception:
-            pass
+        if own_tracker:
+            # Attaching registered the segment with this process's own
+            # tracker, which would unlink it when *this* process exits --
+            # but the creating process owns the segment.  Undo that.
+            try:  # pragma: no cover - depends on resource_tracker internals
+                resource_tracker.unregister(segment._name, "shared_memory")  # type: ignore[attr-defined]
+            except Exception:
+                pass
         _ATTACHED[name] = segment
         return segment
 

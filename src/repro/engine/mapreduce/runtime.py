@@ -113,7 +113,7 @@ def _instantiate(template):
     return copy.deepcopy(template)
 
 
-# -- pure task bodies (shared by the serial loop and the executor path) ------
+# -- pure task bodies ---------------------------------------------------------
 #
 # Module-level so a ProcessPoolExecutor can pickle them by reference; they
 # touch nothing but their arguments, which is what makes a stage's tasks
@@ -149,11 +149,11 @@ def _run_reduce_once(
 
 @dataclass
 class _StageTaskOutcome:
-    """What one concurrently-executed task hands back for ordered commit.
+    """What one task hands back for ordered commit.
 
     Pure data: the driver replays counters, fault accounting, and trace
-    events from it in task-index order, which keeps every executor's side
-    effects bit-identical to the serial loop.
+    events from it in task-index order, so every executor -- serial
+    included -- commits the same side effects in the same order.
     """
 
     ok: bool
@@ -230,13 +230,11 @@ class MapReduceRuntime:
             are ignored here: MapReduce tasks restart from durable HDFS.
         executor: a :class:`~repro.engine.exec.TaskExecutor`, an executor
             name (``serial``/``threads``/``processes``), or None for serial.
-            Concurrent executors run a stage's independent tasks in
-            parallel; results commit in task-index order, so outputs,
-            counters, byte totals, and trace-event multisets stay identical
-            to serial.  With :class:`RandomFaults` the equivalence holds for
-            every run that completes; a job that *fails* fatally leaves the
-            generator at a different point than serial would (fault plans
-            are drawn for all tasks up front).
+            Every executor runs the same stage path: fault plans are drawn
+            for all of a stage's tasks up front, the tasks run (in parallel
+            on concurrent executors), and results commit in task-index
+            order, so outputs, counters, byte totals, trace events and the
+            fault generator's state are identical on every executor.
         workers: worker count when ``executor`` is given by name.
     """
 
@@ -336,43 +334,14 @@ class MapReduceRuntime:
     def _map_phase(
         self, job, splits, stats, refs=None
     ) -> tuple[list[list[Pair]], list[float], list[int]]:
-        if self.executor.serial:
-            map_outputs = []
-            map_times = []
-            map_retries = []
-            for task_id, split in enumerate(splits):
-                pairs, seconds, retries = self._attempt_task(
-                    stats, lambda: self._run_map_task(job, split, task_id),
-                    kind="map", task_id=task_id,
-                )
-                map_times.append(seconds)
-                map_retries.append(retries)
-                map_outputs.append(pairs)
-        else:
-            map_outputs, map_times, map_retries = self._run_phase_concurrent(
-                job, "map", job.mapper, splits, stats, payload_datas=refs
-            )
+        map_outputs, map_times, map_retries = self._run_phase(
+            job, "map", job.mapper, splits, stats, payload_datas=refs
+        )
         stats.map_output_bytes = sum(sizeof_pairs(out) for out in map_outputs)
         if job.combiner is not None:
-            if self.executor.serial:
-                combined = []
-                combine_times = []
-                combine_retries = []
-                for task_id, pairs in enumerate(map_outputs):
-                    out, seconds, retries = self._attempt_task(
-                        stats,
-                        lambda: self._run_reduce_like(job.combiner, job, pairs, task_id),
-                        kind="combine", task_id=task_id,
-                    )
-                    combine_times.append(seconds)
-                    combine_retries.append(retries)
-                    combined.append(out)
-            else:
-                combined, combine_times, combine_retries = (
-                    self._run_phase_concurrent(
-                        job, "combine", job.combiner, map_outputs, stats
-                    )
-                )
+            combined, combine_times, combine_retries = self._run_phase(
+                job, "combine", job.combiner, map_outputs, stats
+            )
             for task_id, (seconds, retries) in enumerate(
                 zip(combine_times, combine_retries)
             ):
@@ -392,39 +361,27 @@ class MapReduceRuntime:
         num_reducers = max(1, job.num_reducers)
         stats.n_reduce_tasks = num_reducers
         partitions = _partition_pairs(all_pairs, num_reducers)
-        if self.executor.serial:
-            output: list[Pair] = []
-            reduce_times: list[float] = []
-            reduce_retries: list[int] = []
-            for task_id, partition in enumerate(partitions):
-                pairs, seconds, retries = self._attempt_task(
-                    stats,
-                    lambda: self._run_reduce_like(job.reducer, job, partition, task_id),
-                    kind="reduce", task_id=task_id,
-                )
-                reduce_times.append(seconds)
-                reduce_retries.append(retries)
-                output.extend(pairs)
-            return output, reduce_times, reduce_retries
-        outputs, reduce_times, reduce_retries = self._run_phase_concurrent(
+        outputs, reduce_times, reduce_retries = self._run_phase(
             job, "reduce", job.reducer, partitions, stats
         )
         output = [pair for pairs in outputs for pair in pairs]
         return output, reduce_times, reduce_retries
 
-    # -- concurrent stage execution ---------------------------------------
+    # -- stage execution ---------------------------------------------------
 
-    def _run_phase_concurrent(
+    def _run_phase(
         self, job, kind: str, template, datas, stats: JobStats,
         payload_datas=None,
     ) -> tuple[list[list[Pair]], list[float], list[int]]:
         """Run one stage's independent tasks on the executor.
 
-        Fault-injection decisions are precomputed per task (in ascending
-        task-index order, matching the serial loop's draw order), the pure
-        task bodies run in parallel, and every side effect -- counters,
-        fault accounting, trace events, the job-fatal raise -- is committed
-        from the returned outcomes in task-index order.
+        Fault-injection decisions are drawn for every task up front, in
+        ascending task-index order; the pure task bodies then run on the
+        executor (a left-to-right loop for ``serial``), and every side
+        effect -- counters, fault accounting, trace events, the job-fatal
+        raise -- is committed from the returned outcomes in task-index
+        order.  A failed attempt's counters are discarded, as Hadoop
+        discards the output of a killed task attempt.
 
         *payload_datas*, when given, is what actually ships to the executor
         in place of ``datas`` (worker-resident refs standing in for pinned
@@ -477,66 +434,6 @@ class MapReduceRuntime:
             times.append(outcome.seconds)
             retries_out.append(outcome.retries)
         return outputs, times, retries_out
-
-    # -- task execution --------------------------------------------------
-
-    def _attempt_task(
-        self, stats: JobStats, thunk, *, kind: str, task_id: int
-    ) -> tuple[list[Pair], float, int]:
-        total_seconds = 0.0
-        for attempt in range(1, self.max_task_attempts + 1):
-            started = time.perf_counter()
-            result, ctx = thunk()
-            elapsed = time.perf_counter() - started
-            site = FaultSite("mapreduce", stats.name, kind, task_id, attempt)
-            factor = self.faults.time_factor(site)
-            if factor != 1.0:
-                # A straggler stretches the attempt's simulated compute time
-                # without touching its output; speculative execution's
-                # 3x-median cap in the timeline handles the rest.
-                elapsed *= factor
-                stats.count_fault("straggler")
-                tracer = get_tracer()
-                if tracer.enabled:
-                    tracer.event(
-                        "fault_injected", fault="straggler", job=stats.name,
-                        kind=kind, task=task_id, attempt=attempt, factor=factor,
-                    )
-            total_seconds += elapsed
-            label = self.faults.fail(site)
-            if label is None:
-                # Counters commit only for the successful attempt -- a failed
-                # attempt's side effects are discarded, exactly as Hadoop
-                # discards the output of a killed task attempt.
-                self._merge_counters(ctx, stats)
-                return result, total_seconds, attempt - 1
-            stats.task_retries += 1
-            stats.count_fault(label)
-            stats.recovery_sim_seconds += elapsed * self.cost_model.compute_scale
-            tracer = get_tracer()
-            if tracer.enabled:
-                tracer.event(
-                    "fault_injected", fault=label, job=stats.name,
-                    kind=kind, task=task_id, attempt=attempt,
-                )
-        raise JobFailedError(
-            f"job {stats.name!r}: {kind} task {task_id} failed "
-            f"{self.max_task_attempts} times"
-        )
-
-    def _run_map_task(
-        self, job: MapReduceJob, split, task_id: int
-    ) -> tuple[list[Pair], TaskContext]:
-        return _run_map_once(job.mapper, job.config, job.name, split, task_id)
-
-    def _run_reduce_like(
-        self, template, job, pairs, task_id: int
-    ) -> tuple[list[Pair], TaskContext]:
-        return _run_reduce_once(template, job.config, job.name, pairs, task_id)
-
-    def _merge_counters(self, ctx: TaskContext, stats: JobStats) -> None:
-        for counter, amount in ctx.counters.items():
-            stats.counters[counter] = stats.counters.get(counter, 0) + amount
 
     # -- simulated timeline ----------------------------------------------
 

@@ -86,11 +86,14 @@ class RDD:
     def _iterator(self, split: int, stats=None) -> list:
         """Materialize one partition, honouring the cache.
 
-        When a concurrent task scope is active (``ctx._active_scope()``),
-        cache puts are deferred into the scope (with a local overlay so the
-        task sees its own puts), trace events are buffered for ordered
-        commit, and the lineage-recompute clock is per-scope -- concurrent
-        attempts never touch shared driver state.
+        Inside a job every task attempt runs under a task scope
+        (``ctx._active_scope()``): cache puts are deferred into the scope
+        (with a local overlay so the task sees its own puts), trace events
+        are buffered for ordered commit, and the lineage-recompute clock is
+        per-scope -- task attempts never touch shared driver state.  With
+        no scope (driver-side evaluation outside any job, such as a size
+        probe) cache hits count directly and puts land in the block
+        manager.
         """
         ctx = self.context
         scope = ctx._active_scope()
@@ -102,8 +105,7 @@ class RDD:
                     data, nbytes = local
                     # Buffer whenever either sink is live: scope events are
                     # replayed at driver commit into the tracer AND the
-                    # metrics registry (concurrent tasks never count there
-                    # directly).
+                    # metrics registry (tasks never count there directly).
                     if tracer.enabled or get_registry().enabled:
                         scope.events.append((
                             "cache_hit",
@@ -131,60 +133,47 @@ class RDD:
                         if registry.enabled:
                             count_cache_hit(registry, block.nbytes)
                 return block.data
+        if scope is None:
+            data = self._compute(split, stats)
+            if self._cached:
+                # Cached again, so the block is no longer lost.
+                ctx._lost_blocks.discard((self.rdd_id, split))
+                ctx.block_manager.put(self.rdd_id, split, data, sizeof(data))
+            return data
         key = (self.rdd_id, split)
-        # Under a concurrent scope the shared lost-block set is read-only:
-        # recomputed keys are staged in the scope and discarded by the
-        # driver at commit, so a sibling task never observes a mid-flight
-        # mutation.  The scope's own discards mask the shared set, keeping
-        # the retry loop's view identical to the serial immediate discard.
+        # The shared lost-block set is read-only inside a task: recomputed
+        # keys are staged in the scope and discarded by the driver at
+        # commit, so a sibling task never observes a mid-flight mutation.
+        # The scope's own discards mask the shared set for the task's
+        # retries.
         was_lost = (
             self._cached
-            and (scope is None or key not in scope.lost_discards)
+            and key not in scope.lost_discards
             and key in ctx._lost_blocks
         )
         # Only the outermost lost block charges its recompute time: a lost
         # parent recomputed inside it is part of the same recovery work.
-        depth = scope.recompute_depth if scope is not None else ctx._recompute_depth
-        charge = was_lost and depth == 0
+        charge = was_lost and scope.recompute_depth == 0
         if was_lost:
-            if scope is not None:
-                scope.recompute_depth += 1
-            else:
-                ctx._recompute_depth += 1
+            scope.recompute_depth += 1
         started = time.perf_counter()
         try:
             data = self._compute(split, stats)
         finally:
             if was_lost:
-                if scope is not None:
-                    scope.recompute_depth -= 1
-                    scope.lost_discards.add(key)
-                else:
-                    ctx._recompute_depth -= 1
-                    ctx._lost_blocks.discard(key)
+                scope.recompute_depth -= 1
+                scope.lost_discards.add(key)
         if charge:
-            elapsed = time.perf_counter() - started
-            if scope is not None:
-                scope.recompute_seconds += elapsed
-                if tracer.enabled:
-                    scope.events.append((
-                        "lineage_recompute",
-                        dict(rdd_id=self.rdd_id, split=split),
-                    ))
-            else:
-                ctx._recompute_seconds += elapsed
-                if tracer.enabled:
-                    tracer.event(
-                        "lineage_recompute", rdd_id=self.rdd_id, split=split
-                    )
+            scope.recompute_seconds += time.perf_counter() - started
+            if tracer.enabled:
+                scope.events.append((
+                    "lineage_recompute",
+                    dict(rdd_id=self.rdd_id, split=split),
+                ))
         if self._cached:
             nbytes = sizeof(data)
-            if scope is not None:
-                scope.puts.append((self.rdd_id, split, data, nbytes))
-                scope.overlay[(self.rdd_id, split)] = (data, nbytes)
-            else:
-                ctx.block_manager.put(self.rdd_id, split, data, nbytes)
-                ctx._journal_put(self.rdd_id, split)
+            scope.puts.append((self.rdd_id, split, data, nbytes))
+            scope.overlay[(self.rdd_id, split)] = (data, nbytes)
         return data
 
     # -- transformations (lazy) ----------------------------------------------
@@ -331,10 +320,9 @@ class RDD:
             ]
 
         def compute(split, stats):
-            # Double-checked lock: the first task of a concurrent stage
-            # materializes the whole shuffle (charging its shuffle bytes to
-            # that task's stats, as the serial first-compute did); the rest
-            # reuse it.
+            # Double-checked lock: the first task to get here materializes
+            # the whole shuffle (charging its shuffle bytes to that task's
+            # stats); the rest reuse it.
             if state["partitions"] is None:
                 with state["lock"]:
                     if state["partitions"] is None:

@@ -90,13 +90,13 @@ class FaultInjector:
 
         Returns one ``(time_factor, fail_label)`` entry per attempt, ending
         either with the first successful attempt (label ``None``) or after
-        ``max_attempts`` failures.  The hooks are consulted in exactly the
-        order a serial retry loop consults them -- ``time_factor`` then
-        ``fail``, attempt by attempt, and callers plan tasks in ascending
-        task-index order -- so :class:`RandomFaults` consumes the identical
-        generator stream and concurrent executors replay the identical fault
-        sequence.  (:class:`PlannedFaults` is stateless inside a job, so its
-        plans are order-independent outright.)
+        ``max_attempts`` failures.  The hooks are consulted in a fixed
+        order -- ``time_factor`` then ``fail``, attempt by attempt, and the
+        engines plan all of a stage's tasks in ascending task-index order
+        before running any -- so :class:`RandomFaults` consumes the
+        identical generator stream and every executor replays the identical
+        fault sequence.  (:class:`PlannedFaults` is stateless inside a job,
+        so its plans are order-independent outright.)
 
         ``site.attempt`` is ignored; the per-attempt sites are derived here.
         """

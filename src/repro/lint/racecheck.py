@@ -221,7 +221,6 @@ class RaceCheckExecutor(TaskExecutor):
     """
 
     name = "racecheck"
-    serial = False
 
     def __init__(self, inner: TaskExecutor, recorder: RaceRecorder):
         from repro.engine.exec.processes import ProcessPoolTaskExecutor

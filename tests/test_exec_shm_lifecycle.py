@@ -9,11 +9,15 @@ files.
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from concurrent.futures.process import BrokenProcessPool
 
+import repro
 from repro.engine.exec.processes import ProcessPoolTaskExecutor
 from repro.engine.exec.shm import ShmBlockRegistry, _ATTACHED, _attach
 
@@ -97,3 +101,39 @@ class TestExecutorFailureLeaks:
         executor.shutdown()
         assert executor.registry.active_segments() == []
         assert _shm_names() - before == set()
+
+
+# A dense fit whose 64 row blocks (64 KB each) all cross the shm threshold:
+# every block is shipped as a segment that forked workers attach.
+_DENSE_PROCESSES_FIT = """
+from repro.backends.mapreduce import MapReduceBackend
+from repro.core import SPCA, SPCAConfig
+from repro.data.generators import sift_features
+from repro.engine.mapreduce import MapReduceRuntime
+
+config = SPCAConfig(n_components=4, max_iterations=3, seed=0)
+runtime = MapReduceRuntime(executor="processes", workers=2)
+try:
+    SPCA(config, MapReduceBackend(config, runtime=runtime)).fit(
+        sift_features(8000, 64)
+    )
+finally:
+    runtime.executor.shutdown()
+"""
+
+
+def test_processes_fit_leaves_resource_tracker_quiet():
+    # Forked workers share the driver's resource tracker; a worker that
+    # unregistered an attached segment dropped the driver's registration,
+    # and the driver's unlink then made the tracker print a KeyError
+    # traceback per segment.
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    before = _shm_names()
+    result = subprocess.run(
+        [sys.executable, "-c", _DENSE_PROCESSES_FIT],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "resource_tracker" not in result.stderr, result.stderr
+    assert "KeyError" not in result.stderr, result.stderr
+    assert _shm_names() - before == set()

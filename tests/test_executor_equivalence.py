@@ -2,12 +2,12 @@
 
 For any job, any split shape, and any fault schedule, running under
 ``threads`` or ``processes`` must produce the same output records, the same
-JobStats byte fields, the same counters, and the same trace events as the
-serial loop.  The only permitted trace difference is the presence of the
-executor's own ``executor_dispatch``/``executor_join`` bookkeeping events,
-which are excluded from comparison (as are timing-derived
-``speculative_kill`` events, which a GC pause in the simulating process can
-perturb).
+JobStats byte fields, the same counters, and the same ordered trace events
+as the serial executor.  The only permitted trace difference is the
+presence of the executor's own ``executor_dispatch``/``executor_join``
+bookkeeping events, which are excluded from comparison (as are
+timing-derived ``speculative_kill`` events, which a GC pause in the
+simulating process can perturb).
 """
 
 import numpy as np
@@ -21,10 +21,23 @@ from repro.backends.spark import SparkBackend
 from repro.core import SPCA, SPCAConfig
 from repro.engine.cluster import ClusterSpec
 from repro.engine.exec import ProcessPoolTaskExecutor, ThreadPoolTaskExecutor
-from repro.engine.mapreduce import MapReduceJob, MapReduceRuntime, Mapper, SumReducer
+from repro.engine.mapreduce import (
+    JobChain,
+    MapReduceJob,
+    MapReduceRuntime,
+    Mapper,
+    SumReducer,
+)
 from repro.engine.spark.context import SparkContext
 from repro.errors import JobFailedError
-from repro.faults import RandomFaults
+from repro.faults import (
+    ExecutorLoss,
+    FaultPlan,
+    KillTask,
+    PlannedFaults,
+    RandomFaults,
+    Straggler,
+)
 from repro.obs import tracing
 
 BYTE_FIELDS = (
@@ -130,17 +143,16 @@ def _shared_pools():
 
 
 def data_events(tracer):
-    """Trace events that carry data/accounting (multiset, order-free).
+    """Trace events that carry data/accounting, in emission order.
 
-    Serial and concurrent runs commit in the same task order, but a failed
-    Spark attempt's cache put/evict churn is replayed at commit time rather
-    than interleaved with the attempt, so events are compared as multisets.
+    Every executor runs the same path and commits in task order, so the
+    sequence itself must match, not just the multiset.
     """
-    return sorted(
+    return [
         (event.type, sorted(event.attrs.items(), key=repr))
         for event in tracer.events
         if event.type not in EXCLUDED_EVENTS
-    )
+    ]
 
 
 def run_traced(executor, params, faults=None):
@@ -220,15 +232,19 @@ CONFIG = SPCAConfig(
 )
 
 
-def fit_mapreduce(executor, config=CONFIG):
-    runtime = MapReduceRuntime(cluster=SMALL_CLUSTER, executor=executor)
+def fit_mapreduce(executor, config=CONFIG, faults=None):
+    runtime = MapReduceRuntime(
+        cluster=SMALL_CLUSTER, executor=executor, faults=faults
+    )
     backend = MapReduceBackend(config, runtime=runtime, records_per_split=6)
     model, _ = SPCA(config, backend).fit(DATA)
     return model, runtime.metrics
 
 
-def fit_spark(executor, config=CONFIG):
-    context = SparkContext(cluster=SMALL_CLUSTER, executor=executor)
+def fit_spark(executor, config=CONFIG, faults=None):
+    context = SparkContext(
+        cluster=SMALL_CLUSTER, executor=executor, faults=faults
+    )
     backend = SparkBackend(config, context=context, records_per_partition=6)
     model, _ = SPCA(config, backend).fit(DATA)
     return model, context.metrics
@@ -245,8 +261,12 @@ def test_spca_fine_granularity_matches_across_engines():
 
 
 def assert_fits_match(fit, executor, config=CONFIG):
-    model_serial, metrics_serial = fit(None, config)
-    model_exec, metrics_exec = fit(executor, config)
+    assert_same_fit(fit(None, config), fit(executor, config))
+
+
+def assert_same_fit(serial, other):
+    model_serial, metrics_serial = serial
+    model_exec, metrics_exec = other
     # No kernel is re-associated by the executor layer (tasks are identical
     # units of work in a different order), so equality is bitwise.
     assert np.array_equal(model_exec.components, model_serial.components)
@@ -260,6 +280,8 @@ def assert_fits_match(fit, executor, config=CONFIG):
                 f"{job_s.name}: {field}"
             )
         assert job_e.counters == job_s.counters, job_s.name
+        assert job_e.task_retries == job_s.task_retries, job_s.name
+        assert job_e.faults == job_s.faults, job_s.name
 
 
 def test_spca_mapreduce_threads_bitwise():
@@ -309,3 +331,99 @@ def test_spark_processes_fallback_is_traced():
     assert all(
         e.attrs.get("fallback_from") == "processes" for e in dispatches
     )
+
+
+# -- ordered traces of whole fits under a fault plan ------------------------
+
+# Stragglers on the job that first caches partition 0 and on a meanJob task,
+# a killed meanJob attempt (its cache puts are rolled back) and a lost
+# executor before the first YtXJob (its blocks recompute from lineage).
+FAULT_PLAN = FaultPlan(events=(
+    Straggler(job="take", task=0, factor=5.0),
+    Straggler(job="meanJob", task=2, factor=4.0),
+    KillTask(job="meanJob", task=1, attempts=1),
+    KillTask(job="YtXJob", task=3, attempts=2),
+    ExecutorLoss(job="YtXJob", executor=0),
+))
+
+
+@pytest.mark.parametrize("engine", sorted(FITS))
+def test_spca_fit_under_fault_plan_matches_in_order(engine):
+    # Spark commits a task's buffered events before its cache puts, so a
+    # straggler's fault_injected precedes that attempt's cache_put on every
+    # executor.
+    runs = {}
+    for name, executor in (
+        ("serial", None), ("threads", THREADS), ("processes", PROCESSES)
+    ):
+        with tracing() as tracer:
+            fit = FITS[engine](executor, faults=PlannedFaults(FAULT_PLAN))
+        runs[name] = fit, data_events(tracer)
+    serial_fit, serial_events = runs["serial"]
+    fired = {label for stats in serial_fit[1].jobs for label in stats.faults}
+    expected = {"straggler", "kill_task"}
+    if engine == "spark":
+        expected.add("executor_loss")
+    assert fired == expected
+    for name in ("threads", "processes"):
+        fit, events = runs[name]
+        assert_same_fit(serial_fit, fit)
+        assert events == serial_events, name
+
+
+# -- a fatal RandomFaults failure, then a resubmission ----------------------
+
+CHAIN_SPLITS = [
+    [(f"k{i % 3}", i) for i in range(lo, lo + 4)] for lo in range(0, 24, 4)
+]
+# Two attempts per task at rate 0.3: the first submission dies on a task
+# before the end of its stage and the chain's resubmission completes.
+CHAIN_RATE, CHAIN_SEED = 0.3, 2
+
+
+def run_fatal_chain(executor):
+    runtime = MapReduceRuntime(
+        cluster=SMALL_CLUSTER, executor=executor, max_task_attempts=2,
+        faults=RandomFaults(CHAIN_RATE, seed=CHAIN_SEED),
+    )
+    job = MapReduceJob(
+        name="chain", mapper=EmitTwiceMapper(), combiner=SumReducer(),
+        reducer=SumReducer(), num_reducers=2,
+    )
+    output = JobChain(runtime, max_job_attempts=2).then(job).run(CHAIN_SPLITS)
+    jobs = [
+        (stats.name, stats.task_retries, stats.faults, stats.counters)
+        for stats in runtime.metrics.jobs
+    ]
+    return output, jobs
+
+
+def test_fatal_random_faults_then_resubmission_match():
+    # Every executor draws the whole stage's fault plans before running it,
+    # so a fatal failure leaves the generator at the same point on all of
+    # them and the resubmission replays the same faults.
+    output, jobs = run_fatal_chain(None)
+    assert [name for name, *_ in jobs] == ["chain[backoff]", "chain"]
+    for executor in (THREADS, PROCESSES):
+        assert run_fatal_chain(executor) == (output, jobs), executor.name
+
+
+def test_spark_shuffle_events_match_as_multiset():
+    # A shuffle is materialized whole by whichever task of the stage gets
+    # there first, and its parent's cache events land in that task's scope;
+    # on a concurrent executor that task varies, so only the multiset of
+    # events is fixed.
+    def run(executor):
+        context = SparkContext(cluster=SMALL_CLUSTER, executor=executor)
+        pairs = context.parallelize(
+            [(f"k{i % 5}", i) for i in range(40)], num_partitions=4
+        ).cache()
+        with tracing() as tracer:
+            counts = pairs.reduce_by_key(lambda a, b: a + b).collect()
+        stats = context.metrics.jobs[-1]
+        return counts, stats.shuffle_bytes, sorted(data_events(tracer))
+
+    expected = run(None)
+    assert expected[1] > 0
+    for executor in (THREADS, PROCESSES):
+        assert run(executor) == expected, executor.name
